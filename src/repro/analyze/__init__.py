@@ -10,9 +10,8 @@ Five passes over the artifacts this library builds:
 * :mod:`repro.analyze.netcheck` — a netlist DAG verifier plus the
   gate-count assertions against the paper's ``46s - 16 + 2e`` table
   and the protein substitution-cell op-count pins;
-* :mod:`repro.analyze.contracts` — cross-layer contract lints: every
-  fault-site literal against the catalogue, every engine-name
-  registry against its neighbours;
+* :mod:`repro.analyze.contracts` — the cross-layer contract lint:
+  every fault-site literal against the catalogue;
 * :mod:`repro.analyze.prove` — the exhaustive prover: bit-exact
   equivalence of every shipped cell netlist against the scalar
   reference over the *full* input cube at small widths, plus interval
@@ -22,9 +21,8 @@ Run the fast passes with ``python -m repro analyze --all``; the
 prover with ``python -m repro analyze --prove``.
 """
 
-from .contracts import (FaultSiteUse, RegistrySnapshot, analyze_contracts,
-                        check_engine_registries, check_fault_sites,
-                        collect_fault_site_uses, registry_snapshot)
+from .contracts import (FaultSiteUse, analyze_contracts, check_fault_sites,
+                        collect_fault_site_uses)
 from .drivers import (KernelLaunchPlan, analyze_all, analyze_kernels,
                       analyze_netlists, analyze_plan,
                       shipped_kernel_plans)
@@ -44,7 +42,6 @@ __all__ = [
     "verify_netlist", "check_sw_cell_counts", "check_compiled_cells",
     "check_protein_cells",
     "FaultSiteUse", "collect_fault_site_uses", "check_fault_sites",
-    "RegistrySnapshot", "registry_snapshot", "check_engine_registries",
     "analyze_contracts",
     "MAX_EXHAUSTIVE_BITS", "prove_equivalence", "input_support",
     "mutate_netlist", "prove_linear_cell", "prove_gotoh_cell",

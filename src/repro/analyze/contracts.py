@@ -1,30 +1,21 @@
-"""Cross-layer contract lints: registries that must agree, checked.
+"""Cross-layer contract lint: fault-site literals vs the catalogue.
 
-Two families of implicit contract span this codebase's layers:
+The chaos machinery addresses injection points by string
+(``fault_point("shard.worker.crash")``), and
+:data:`repro.resilience.faults.SITES` is the catalogue a
+:class:`FaultRule` validates against.  But the *call sites* are plain
+literals that nothing validates: a typo'd site silently never fires,
+and a deleted call site leaves a catalogue entry the chaos suite
+thinks it is exercising.  :func:`check_fault_sites` walks the
+package's ASTs and holds every literal against the catalogue in both
+directions.
 
-* **Fault sites** — the chaos machinery addresses injection points by
-  string (``fault_point("shard.worker.crash")``), and
-  :data:`repro.resilience.faults.SITES` is the catalogue a
-  :class:`FaultRule` validates against.  But the *call sites* are
-  plain literals that nothing validates: a typo'd site silently never
-  fires, and a deleted call site leaves a catalogue entry the chaos
-  suite thinks it is exercising.  :func:`check_fault_sites` walks the
-  package's ASTs and holds every literal against the catalogue in
-  both directions.
-
-* **Engine names** — the shard workers, the serve engine pool, the
-  CLI ``--engine`` choices, and the resilience fallback chain each
-  keep their own name registry.  The PR 7 fallback mis-scoring bug
-  was exactly this drift class; :func:`check_engine_registries` makes
-  it a CI failure.
-
-Both run in ``python -m repro analyze --contracts`` (and as part of
-``--all``); they are pure-Python fast, no netlists involved.
+It runs in ``python -m repro analyze --contracts`` (and as part of
+``--all``); it is pure-Python fast, no netlists involved.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,9 +27,6 @@ __all__ = [
     "FaultSiteUse",
     "collect_fault_site_uses",
     "check_fault_sites",
-    "RegistrySnapshot",
-    "registry_snapshot",
-    "check_engine_registries",
     "analyze_contracts",
 ]
 
@@ -134,115 +122,6 @@ def check_fault_sites(paths: Sequence[Path] | None = None,
     return rep
 
 
-@dataclass(frozen=True)
-class RegistrySnapshot:
-    """The engine-name registries of every layer, side by side."""
-
-    shard_engines: tuple[str, ...]       #: shard.worker.SHARD_ENGINES
-    shardable_engines: tuple[str, ...]   #: serve SHARDABLE_ENGINES
-    serve_engines: tuple[str, ...]       #: serve engine_pool.ENGINES
-    cli_engine_choices: tuple[str, ...]  #: serve --engine choices
-    chain: tuple[str, ...]               #: fallback.DEFAULT_CHAIN
-    resilience_engines: tuple[str, ...]  #: fallback.RESILIENCE_ENGINES
-    engine_fault_sites: tuple[str, ...]  #: faults engine.<n>.fail names
-
-
-def registry_snapshot() -> RegistrySnapshot:
-    """Collect the live registries (imports the real modules)."""
-    from ..cli import build_parser
-    from ..resilience.fallback import DEFAULT_CHAIN, RESILIENCE_ENGINES
-    from ..resilience.faults import engine_fault_sites
-    from ..serve.engine_pool import ENGINES, SHARDABLE_ENGINES
-    from ..shard.worker import SHARD_ENGINES
-
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    serve = sub.choices["serve"]
-    engine_arg = next(a for a in serve._actions
-                      if "--engine" in a.option_strings)
-    return RegistrySnapshot(
-        shard_engines=tuple(sorted(SHARD_ENGINES)),
-        shardable_engines=tuple(SHARDABLE_ENGINES),
-        serve_engines=tuple(ENGINES),
-        cli_engine_choices=tuple(engine_arg.choices or ()),
-        chain=tuple(DEFAULT_CHAIN),
-        resilience_engines=tuple(RESILIENCE_ENGINES),
-        engine_fault_sites=tuple(sorted(engine_fault_sites())),
-    )
-
-
-def check_engine_registries(snap: RegistrySnapshot | None = None,
-                            ) -> Report:
-    """Hold every engine-name registry against its neighbours."""
-    if snap is None:
-        snap = registry_snapshot()
-    rep = Report()
-
-    def verdict(rule: str, ok: bool, subject: str, bad: str,
-                good: str) -> None:
-        rep.add(Diagnostic(
-            rule=rule,
-            severity=Severity.NOTE if ok else Severity.ERROR,
-            subject=subject, message=good if ok else bad))
-
-    verdict(
-        "contract.shard-engines",
-        set(snap.shard_engines) == set(snap.shardable_engines),
-        "shard.worker.SHARD_ENGINES",
-        f"shard workers accept {sorted(snap.shard_engines)} but serve "
-        f"marks {sorted(snap.shardable_engines)} shardable — a "
-        f"--shard-workers deployment would dispatch an engine the "
-        f"worker rejects",
-        f"matches serve.SHARDABLE_ENGINES "
-        f"({sorted(snap.shardable_engines)})")
-    verdict(
-        "contract.shardable-subset",
-        set(snap.shardable_engines) <= set(snap.serve_engines),
-        "serve.engine_pool.SHARDABLE_ENGINES",
-        f"shardable engines {sorted(snap.shardable_engines)} are not "
-        f"all in the serve pool {sorted(snap.serve_engines)}",
-        f"subset of the serve pool ({sorted(snap.serve_engines)})")
-    expected_cli = set(snap.serve_engines) | {"resilient"}
-    verdict(
-        "contract.cli-engines",
-        set(snap.cli_engine_choices) == expected_cli,
-        "cli serve --engine",
-        f"CLI offers {sorted(snap.cli_engine_choices)} but the pool "
-        f"plus the fallback pseudo-engine is {sorted(expected_cli)} — "
-        f"an engine is unreachable or the CLI promises one that "
-        f"cannot be built",
-        f"offers exactly the pool plus 'resilient' "
-        f"({sorted(expected_cli)})")
-    verdict(
-        "contract.fallback-chain",
-        snap.chain == snap.resilience_engines,
-        "resilience.fallback.DEFAULT_CHAIN",
-        f"DEFAULT_CHAIN {list(snap.chain)} is not "
-        f"RESILIENCE_ENGINES in declaration order "
-        f"{list(snap.resilience_engines)} — the demotion order no "
-        f"longer matches the documented fastest-first registry",
-        f"equals RESILIENCE_ENGINES in declaration order "
-        f"({list(snap.chain)})")
-    chain_sites = {f"engine.{name}.fail"
-                   for name in snap.resilience_engines}
-    catalogued = {f"engine.{name}.fail"
-                  for name in snap.engine_fault_sites}
-    verdict(
-        "contract.engine-fault-sites",
-        chain_sites == catalogued,
-        "resilience.faults engine.*.fail",
-        f"chain engines imply fault sites {sorted(chain_sites)} but "
-        f"the catalogue has {sorted(catalogued)} — the chaos suite "
-        f"cannot fail every chain engine (or names one that left the "
-        f"chain)",
-        f"one engine.<name>.fail site per chain engine "
-        f"({sorted(snap.engine_fault_sites)})")
-    return rep
-
-
 def analyze_contracts() -> Report:
-    """Both contract lints over the live package."""
-    rep = check_fault_sites()
-    rep.extend(check_engine_registries())
-    return rep
+    """The contract lint over the live package."""
+    return check_fault_sites()

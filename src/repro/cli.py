@@ -44,6 +44,7 @@ import numpy as np
 from .core.bitops import unpack_lanes
 from .core.approx_matching import bpbc_k_mismatch
 from .core.encoding import encode_batch_bit_transposed
+from .engines import ENGINES
 from .filter.screening import screen_pairs
 from .index.fasta import iter_fasta, read_fasta, records_to_batch
 from .swa.scoring import ScoringScheme
@@ -677,17 +678,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7421,
                    help="TCP port (0 = ephemeral; default 7421)")
     p.add_argument("--engine", default="bpbc",
-                   choices=("bpbc", "bpbc-jit", "numpy", "gpusim",
-                            "resilient"),
-                   help="scoring backend (default bpbc; bpbc-jit pins "
-                        "the repro.jit compiled cell evaluator; "
-                        "resilient scores through the engine fallback "
-                        "chain)")
+                   choices=(*ENGINES, "resilient"),
+                   help="scoring backend (default bpbc; resilient "
+                        "scores through the engine fallback chain)")
     p.add_argument("--workers", type=int, default=2,
                    help="engine worker threads (default 2)")
     p.add_argument("--shard-workers", type=int, default=1,
                    help="shard each batch across this many processes "
-                        "(bpbc/bpbc-jit/numpy engines; default 1 = off)")
+                        "(bpbc/numpy engines; default 1 = off)")
     p.add_argument("--word-bits", type=int, default=64,
                    choices=(8, 16, 32, 64))
     p.add_argument("--max-queue", type=int, default=1024,
@@ -714,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo-ms", type=float, default=None,
                    help="latency SLO in ms: enables the adaptive "
                         "scheduler (admission control, batch shaping, "
-                        "engine/width hints; default off)")
+                        "shard-width hints; default off)")
     p.add_argument("--transport", default="auto",
                    choices=("auto", "shm", "pickle"),
                    help="shard transport for --shard-workers > 1 "
@@ -798,8 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "table")
     p.add_argument("--contracts", action="store_true",
                    help="lint cross-layer contracts (fault-site "
-                        "literals vs the catalogue, engine-name "
-                        "registries vs each other)")
+                        "literals vs the catalogue)")
     p.add_argument("--prove", action="store_true",
                    help="exhaustively prove every shipped cell netlist "
                         "bit-exact against the scalar reference at "

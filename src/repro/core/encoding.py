@@ -41,6 +41,7 @@ __all__ = [
     "QUERY_PAD",
     "SUBJECT_PAD",
     "PAD_BITS",
+    "scheme_pads",
     "encode",
     "decode",
     "encode_batch",
@@ -76,6 +77,19 @@ SUBJECT_PAD: int = 5
 
 #: Character bit-planes needed once sentinel codes are in play.
 PAD_BITS: int = 3
+
+
+def scheme_pads(scheme) -> tuple[int, int, int]:
+    """``(query_pad, subject_pad, char_bits)`` for a scoring scheme.
+
+    Schemes with an attached alphabet (protein) pad with that
+    alphabet's sentinel codes at its pad width; everything else uses
+    the DNA constants (pads 4 / 5, ``eps = 3``).
+    """
+    alph = getattr(scheme, "alphabet", None)
+    if alph is not None:
+        return alph.query_pad, alph.subject_pad, alph.pad_bits
+    return QUERY_PAD, SUBJECT_PAD, PAD_BITS
 
 
 def encode(seq: str) -> np.ndarray:

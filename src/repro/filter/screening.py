@@ -17,14 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.encoding import (decode, encode_batch_bit_transposed,
-                             encode_batch_char_planes)
+                             encode_batch_char_planes, scheme_pads)
 from ..core.sw_bpbc import bpbc_sw_wavefront, bpbc_sw_wavefront_planes
 from ..swa.affine import AffineScheme
+from ..swa.numpy_batch import sw_batch_max_scores
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..swa.sequential import sw_matrix
 from ..swa.traceback import Alignment, gotoh_align, traceback
 
-__all__ = ["ScreenHit", "ScreenResult", "screen_pairs", "bulk_max_scores"]
+__all__ = ["ScreenHit", "ScreenResult", "screen_pairs", "bulk_max_scores",
+           "bpbc_max_scores", "wordwise_max_scores"]
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,9 @@ def bulk_max_scores(X: np.ndarray, Y: np.ndarray,
                     transport: str = "auto") -> np.ndarray:
     """Max SW score per pair via the BPBC wavefront engine.
 
-    ``X`` is ``(P, m)`` and ``Y`` ``(P, n)`` wordwise code matrices;
-    lane padding is handled (and trimmed) internally.  With
+    ``X`` is ``(P, m)`` and ``Y`` ``(P, n)`` wordwise code matrices,
+    optionally sentinel-padded (see :mod:`repro.serve.packer`); lane
+    padding is handled (and trimmed) internally.  With
     ``chunk_size`` set, the batch is encoded and scored in slices of
     at most that many pairs, bounding peak memory to one chunk's
     planes instead of one ``(P, m)``-sized allocation.
@@ -122,38 +125,77 @@ def bulk_max_scores(X: np.ndarray, Y: np.ndarray,
                                      workers=workers,
                                      max_shard_pairs=chunk_size,
                                      transport=transport)
-    if chunk_size is not None and P > chunk_size:
-        scores = np.empty(P, dtype=np.int64)
-        for start in range(0, P, chunk_size):
-            stop = min(start + chunk_size, P)
-            scores[start:stop] = bulk_max_scores(
-                X[start:stop], Y[start:stop], scheme, word_bits)
-        return scores
-    if callable(getattr(scheme, "weights_key", None)):
-        # Protein scheme: eps-bit character planes, substitution cell;
-        # the affine variant routes to the Gotoh engine.
-        eps = scheme.alphabet.pad_bits
-        Xp = encode_batch_char_planes(X, word_bits, char_bits=eps)
-        Yp = encode_batch_char_planes(Y, word_bits, char_bits=eps)
-        if scheme.is_affine:
-            from ..core.affine_bpbc import bpbc_gotoh_wavefront_planes
+    if chunk_size is None or P <= chunk_size:
+        return bpbc_max_scores(X, Y, scheme, word_bits)
+    scores = np.empty(P, dtype=np.int64)
+    for start in range(0, P, chunk_size):
+        stop = min(start + chunk_size, P)
+        scores[start:stop] = bpbc_max_scores(X[start:stop], Y[start:stop],
+                                             scheme, word_bits)
+    return scores
 
-            result = bpbc_gotoh_wavefront_planes(Xp, Yp, scheme,
-                                                 word_bits)
-        else:
-            result = bpbc_sw_wavefront_planes(Xp, Yp, scheme, word_bits)
-        return result.max_scores[:P]
-    if isinstance(scheme, AffineScheme):
+
+def bpbc_max_scores(X: np.ndarray, Y: np.ndarray, scheme,
+                    word_bits: int = 64,
+                    cell: str | None = None) -> np.ndarray:
+    """Max BPBC score per pair of one rectangular code batch.
+
+    The one place the bulk path is chosen from the scheme kind, for
+    rectangular batches whose rows may carry trailing sentinel pads.
+    The plane width follows the codes: protein schemes take
+    ``alphabet.pad_bits`` character planes, DNA batches holding pads
+    (codes above 3) take 3, and unpadded DNA takes 2 — the paper's
+    ``(H, L)`` bit-transposed planes on the linear path.  Affine
+    schemes (DNA ``AffineScheme`` or an affine protein scheme) run the
+    Gotoh engine, everything else the linear cell.  ``cell`` pins the
+    cell evaluator (see :func:`repro.core.sw_bpbc.bpbc_sw_wavefront`).
+    """
+    P = X.shape[0]
+    protein = callable(getattr(scheme, "weights_key", None))
+    affine = (isinstance(scheme, AffineScheme)
+              or (protein and scheme.is_affine))
+    if protein or (X.size and X.max() > 3) or (Y.size and Y.max() > 3):
+        _, _, eps = scheme_pads(scheme)
+    elif affine:
+        eps = 2
+    else:
+        # Module globals on purpose: the traced benchmark wraps these
+        # two names to time the W2B and SW stages.
+        XH, XL = encode_batch_bit_transposed(X, word_bits)
+        YH, YL = encode_batch_bit_transposed(Y, word_bits)
+        return bpbc_sw_wavefront(XH, XL, YH, YL, scheme, word_bits,
+                                 cell=cell).max_scores[:P]
+    Xp = encode_batch_char_planes(X, word_bits, char_bits=eps)
+    Yp = encode_batch_char_planes(Y, word_bits, char_bits=eps)
+    if affine:
         from ..core.affine_bpbc import bpbc_gotoh_wavefront_planes
 
-        Xp = encode_batch_char_planes(X, word_bits, char_bits=2)
-        Yp = encode_batch_char_planes(Y, word_bits, char_bits=2)
-        result = bpbc_gotoh_wavefront_planes(Xp, Yp, scheme, word_bits)
-        return result.max_scores[:P]
-    XH, XL = encode_batch_bit_transposed(X, word_bits)
-    YH, YL = encode_batch_bit_transposed(Y, word_bits)
-    result = bpbc_sw_wavefront(XH, XL, YH, YL, scheme, word_bits)
+        result = bpbc_gotoh_wavefront_planes(Xp, Yp, scheme, word_bits,
+                                             cell=cell)
+    else:
+        result = bpbc_sw_wavefront_planes(Xp, Yp, scheme, word_bits,
+                                          cell=cell)
     return result.max_scores[:P]
+
+
+def wordwise_max_scores(X: np.ndarray, Y: np.ndarray, scheme,
+                        word_bits: int = 64) -> np.ndarray:
+    """Max score per pair on the wordwise NumPy baselines.
+
+    Same contract as :func:`bpbc_max_scores` (``word_bits`` is
+    accepted and unused): sentinel codes never compare equal and score
+    the matrix minimum through the padded weight table, so padding is
+    exact here too.
+    """
+    if callable(getattr(scheme, "weights_key", None)):
+        from ..core.protein import subst_gotoh_batch_max_scores
+
+        return subst_gotoh_batch_max_scores(X, Y, scheme)
+    if isinstance(scheme, AffineScheme):
+        from ..swa.affine import gotoh_batch_max_scores
+
+        return gotoh_batch_max_scores(X, Y, scheme)
+    return sw_batch_max_scores(X, Y, scheme)
 
 
 def screen_pairs(X: np.ndarray, Y: np.ndarray, threshold: int,

@@ -54,7 +54,6 @@ __all__ = [
     "BulkRecoveryError",
     # lazy (see __getattr__):
     "EngineFallbackChain",
-    "RESILIENCE_ENGINES",
     "DEFAULT_CHAIN",
     "default_chain",
     "recover_failures",
@@ -64,7 +63,6 @@ __all__ = [
 
 _LAZY = {
     "EngineFallbackChain": "fallback",
-    "RESILIENCE_ENGINES": "fallback",
     "DEFAULT_CHAIN": "fallback",
     "default_chain": "fallback",
     "recover_failures": "recovery",

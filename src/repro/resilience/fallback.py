@@ -1,27 +1,29 @@
-"""Engine fallback chain: four bit-identical engines, one answer.
+"""Engine fallback chain: four bit-identical rungs, one answer.
 
-The repo ships four independent implementations of the same batch
-scoring contract ``(X, Y, scheme, word_bits) -> (P,) max scores``:
+The chain is an ordered tuple of *rungs*, each scoring a batch under
+the engine contract of :mod:`repro.engines`
+(``(X, Y, scheme, word_bits) -> (P,) max scores``):
 
-1. ``compiled-c`` — the BPBC wavefront with the native fused step
-   (:mod:`repro.jit.cbackend`; needs a system C toolchain),
-2. ``compiled-numpy`` — the same circuit lowered to generated NumPy,
-3. ``bpbc`` — the paper-literal interpreted circuit evaluator,
-4. ``numpy`` — the wordwise NumPy Smith-Waterman baseline.
+1. ``compiled-c`` — the ``bpbc`` engine pinned to the native fused
+   step (:mod:`repro.jit.cbackend`; needs a system C toolchain),
+2. ``compiled-numpy`` — ``bpbc`` pinned to the generated NumPy cell,
+3. ``generic`` — ``bpbc`` pinned to the paper-literal interpreted
+   circuit evaluator,
+4. ``numpy`` — the ``numpy`` engine, the wordwise baselines.
 
 They are bit-identical by construction and pinned so by the
 differential fuzz suite — which makes them *redundant hardware* in the
 fault-tolerance sense (SWAPHI's Xeon-Phi-offload-or-CPU and
 AnySeq/GPU's per-backend variants exploit the same property).
 :class:`EngineFallbackChain` turns that redundancy into availability:
-score on the fastest healthy engine, demote on failure, and guard each
-engine with a :class:`~repro.resilience.breaker.CircuitBreaker` so a
+score on the fastest healthy rung, demote on failure, and guard each
+rung with a :class:`~repro.resilience.breaker.CircuitBreaker` so a
 permanently broken backend stops being offered traffic.
 
-Because a *wrong* fallback would be worse than an outage, every engine
+Because a *wrong* fallback would be worse than an outage, every rung
 must pass a known-answer self-test (:data:`KAT_EXPECTED`, hardcoded
-scores over a fixed pair set) before it may join a chain — an engine
-whose toolchain is missing is silently dropped, but an engine that
+scores over a fixed pair set) before it may join a chain — a rung
+whose toolchain is missing is silently dropped, but a rung that
 returns different scores raises :class:`SelfTestError` loudly.
 """
 
@@ -31,61 +33,45 @@ import threading
 
 import numpy as np
 
+from ..filter.screening import bpbc_max_scores, wordwise_max_scores
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from .breaker import CircuitBreaker
 from .errors import FallbackExhaustedError, SelfTestError
 from .faults import fault_point
 
-__all__ = ["DEFAULT_CHAIN", "RESILIENCE_ENGINES", "KAT_EXPECTED",
-           "EngineFallbackChain", "engine_available", "default_chain"]
+__all__ = ["DEFAULT_CHAIN", "KAT_EXPECTED", "EngineFallbackChain",
+           "engine_available", "default_chain"]
 
 
-def _score_wavefront(X, Y, scheme, word_bits, cell):
-    """One rectangular (possibly sentinel-padded) batch through the
-    BPBC wavefront with a pinned cell evaluator — the same dispatch as
-    the shard workers and serve engines."""
-    from ..shard.worker import _score_bpbc
-
-    return _score_bpbc(np.asarray(X, dtype=np.uint8),
-                       np.asarray(Y, dtype=np.uint8),
-                       scheme, word_bits, cell=cell)
-
-
-def _engine_compiled_c(X, Y, scheme, word_bits):
+def _compiled_c(X, Y, scheme, word_bits):
     fault_point("engine.compiled-c.fail")
-    return _score_wavefront(X, Y, scheme, word_bits, "compiled-c")
+    return bpbc_max_scores(X, Y, scheme, word_bits, cell="compiled-c")
 
 
-def _engine_compiled_numpy(X, Y, scheme, word_bits):
+def _compiled_numpy(X, Y, scheme, word_bits):
     fault_point("engine.compiled-numpy.fail")
-    return _score_wavefront(X, Y, scheme, word_bits, "compiled-numpy")
+    return bpbc_max_scores(X, Y, scheme, word_bits,
+                           cell="compiled-numpy")
 
 
-def _engine_bpbc(X, Y, scheme, word_bits):
-    fault_point("engine.bpbc.fail")
-    return _score_wavefront(X, Y, scheme, word_bits, "generic")
+def _generic(X, Y, scheme, word_bits):
+    fault_point("engine.generic.fail")
+    return bpbc_max_scores(X, Y, scheme, word_bits, cell="generic")
 
 
-def _engine_numpy(X, Y, scheme, word_bits):
+def _numpy(X, Y, scheme, word_bits):
     fault_point("engine.numpy.fail")
-    from ..shard.worker import _score_numpy
-
-    return _score_numpy(np.asarray(X, dtype=np.uint8),
-                        np.asarray(Y, dtype=np.uint8), scheme,
-                        word_bits)
+    return wordwise_max_scores(X, Y, scheme, word_bits)
 
 
-#: Chain engines, fastest first — exactly the demotion order.
-RESILIENCE_ENGINES = {
-    "compiled-c": _engine_compiled_c,
-    "compiled-numpy": _engine_compiled_numpy,
-    "bpbc": _engine_bpbc,
-    "numpy": _engine_numpy,
-}
-
-#: Default demotion order: native -> generated NumPy -> interpreted
-#: circuit -> wordwise SWA.
-DEFAULT_CHAIN = ("compiled-c", "compiled-numpy", "bpbc", "numpy")
+#: The demotion order, fastest first: ``(rung name, scorer)`` pairs.
+#: Each rung fails through its own ``engine.<name>.fail`` fault site.
+DEFAULT_CHAIN = (
+    ("compiled-c", _compiled_c),
+    ("compiled-numpy", _compiled_numpy),
+    ("generic", _generic),
+    ("numpy", _numpy),
+)
 
 
 # -- known-answer self-test --------------------------------------------
@@ -131,7 +117,7 @@ def run_self_test(name: str, word_bits: int = 64) -> None:
     this is the startup gate that keeps a miscompiled or corrupted
     backend out of the fallback rotation.
     """
-    fn = RESILIENCE_ENGINES[name]
+    fn = dict(DEFAULT_CHAIN)[name]
     got = np.asarray(fn(KAT_X, KAT_Y, DEFAULT_SCHEME, word_bits))
     expected = np.asarray(KAT_EXPECTED, dtype=got.dtype)
     if got.shape != expected.shape or not np.array_equal(got, expected):
@@ -144,8 +130,8 @@ class EngineFallbackChain:
     Parameters
     ----------
     engines:
-        Ordered engine names from :data:`RESILIENCE_ENGINES` (default
-        :data:`DEFAULT_CHAIN`).  At construction each engine runs the
+        Ordered rung names from :data:`DEFAULT_CHAIN` (default: every
+        rung, in chain order).  At construction each engine runs the
         known-answer self-test; engines that cannot run at all (e.g.
         ``compiled-c`` without a C toolchain) are dropped, and engines
         that run but score *wrong* raise :class:`SelfTestError`.
@@ -162,16 +148,19 @@ class EngineFallbackChain:
     is thread-safe — serve's worker threads share one chain.
     """
 
-    def __init__(self, engines=DEFAULT_CHAIN, *,
+    def __init__(self, engines=None, *,
                  failure_threshold: int = 3,
                  reset_after_s: float = 30.0,
                  word_bits: int = 64,
                  self_test: bool = True) -> None:
+        rungs = dict(DEFAULT_CHAIN)
+        if engines is None:
+            engines = tuple(rungs)
         for name in engines:
-            if name not in RESILIENCE_ENGINES:
+            if name not in rungs:
                 raise ValueError(
                     f"unknown resilience engine {name!r}; expected a "
-                    f"subset of {sorted(RESILIENCE_ENGINES)}"
+                    f"subset of {list(rungs)}"
                 )
         if not engines:
             raise ValueError("engine chain must not be empty")
@@ -193,6 +182,7 @@ class EngineFallbackChain:
                 "no resilience engine survived the self-test gate",
                 {k: v for k, v in self.dropped.items()})
         self.engines = tuple(names)
+        self._rungs = {name: rungs[name] for name in names}
         self.breakers = {
             name: CircuitBreaker(failure_threshold=failure_threshold,
                                  reset_after_s=reset_after_s)
@@ -228,6 +218,8 @@ class EngineFallbackChain:
         """
         scheme = scheme or DEFAULT_SCHEME
         word_bits = self.word_bits if word_bits is None else word_bits
+        X = np.asarray(X, dtype=np.uint8)
+        Y = np.asarray(Y, dtype=np.uint8)
         attempts: dict[str, object] = {}
         for i, name in enumerate(self.engines):
             breaker = self.breakers[name]
@@ -235,8 +227,7 @@ class EngineFallbackChain:
                 attempts[name] = "breaker-open"
                 continue
             try:
-                scores = RESILIENCE_ENGINES[name](X, Y, scheme,
-                                                  word_bits)
+                scores = self._rungs[name](X, Y, scheme, word_bits)
             except Exception as exc:  # noqa: BLE001 - demote and go on
                 breaker.record_failure()
                 attempts[name] = exc

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 __all__ = ["SITES", "FaultRule", "FaultPlan", "InjectedFault",
            "active_plan", "deactivate", "should_inject", "fault_point",
-           "known_sites", "engine_fault_sites"]
+           "known_sites"]
 
 
 #: Every fault site threaded through the stack: name -> what firing it
@@ -90,8 +90,8 @@ SITES: dict[str, str] = {
     "engine.compiled-numpy.fail":
         "the resilience chain's compiled-numpy engine raises on a "
         "batch",
-    "engine.bpbc.fail":
-        "the resilience chain's interpreted bpbc engine raises on a "
+    "engine.generic.fail":
+        "the resilience chain's interpreted generic engine raises on a "
         "batch",
     "engine.numpy.fail":
         "the resilience chain's numpy SWA engine raises on a batch",
@@ -357,19 +357,3 @@ def fault_point(site: str, action=None) -> None:
         action()
         return
     raise InjectedFault(site)
-
-
-def engine_fault_sites() -> dict[str, str]:
-    """Fallback-chain engine name -> its ``engine.<name>.fail`` site.
-
-    Parsed from :data:`SITES`, so it is the catalogue's own statement
-    of which engines the chaos suite can fail — the contract lint
-    (:mod:`repro.analyze.contracts`) holds it against
-    ``fallback.RESILIENCE_ENGINES`` in both directions.
-    """
-    prefix, suffix = "engine.", ".fail"
-    return {
-        site[len(prefix):-len(suffix)]: site
-        for site in SITES
-        if site.startswith(prefix) and site.endswith(suffix)
-    }

@@ -13,10 +13,12 @@ Layers (each its own module):
 * :mod:`~repro.serve.queue` — bounded request queue, futures,
   deadlines, backpressure.
 * :mod:`~repro.serve.packer` — length binning and lane packing.
-* :mod:`~repro.serve.engine_pool` — worker threads, engine registry.
+* :mod:`~repro.serve.engine_pool` — worker threads over the
+  :mod:`repro.engines` table.
 * :mod:`~repro.serve.cache` — keyed LRU over exact scores.
 * :mod:`~repro.serve.scheduler` — SLO-aware adaptive scheduling:
-  cost-model latency prediction, admission control, dispatch hints.
+  cost-model latency prediction, admission control, shard-width
+  hints.
 * :mod:`~repro.serve.stats` — service counters and percentiles.
 * :mod:`~repro.serve.service` — the :class:`AlignmentService` facade.
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — a
@@ -25,8 +27,7 @@ Layers (each its own module):
 """
 
 from .cache import ResultCache, cache_key
-from .engine_pool import (ENGINES, EnginePool, ShardedEngine,
-                          resolve_engine)
+from .engine_pool import EnginePool, ShardedEngine
 from .errors import (AdmissionRejected, DeadlineExceededError,
                      EngineFailedError, QueueFullError, ServeError,
                      ServiceStoppedError)
@@ -48,8 +49,6 @@ __all__ = [
     "bin_requests",
     "EnginePool",
     "ShardedEngine",
-    "ENGINES",
-    "resolve_engine",
     "ResultCache",
     "cache_key",
     "ServiceStats",

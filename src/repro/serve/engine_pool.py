@@ -1,25 +1,9 @@
 """Worker pool fanning packed batches out to pluggable engines.
 
-An *engine* is any callable ``(PackedBatch, word_bits) -> (P,) scores``
-returning exact per-lane maximum scores.  Four are built in:
-
-* ``"bpbc"`` — the paper's bitwise wavefront engine
-  (:func:`repro.core.sw_bpbc.bpbc_sw_wavefront`); mixed-length batches
-  take the sentinel-padded 3-plane path, which stays exact (see
-  :mod:`repro.serve.packer`).  Protein schemes route to the
-  substitution-matrix cells over ``pad_bits`` character planes and
-  affine-gap schemes to the Gotoh engine — the same dispatch the shard
-  workers use.
-* ``"bpbc-jit"`` — the same engine pinned to the :mod:`repro.jit`
-  compiled cell evaluator (``cell="compiled"``): the circuit is
-  lowered to a generated straight-line kernel instead of interpreted,
-  bit-identical and several times faster.
-* ``"numpy"`` — the wordwise baseline
-  (:func:`repro.swa.numpy_batch.sw_batch_max_scores`); sentinel codes
-  simply never compare equal, so padding is exact here too.
-* ``"gpusim"`` — the five-step §V pipeline on the SIMT simulator;
-  sentinel-padded batches are split into uniform-shape sub-runs since
-  the simulated kernels encode 2-bit DNA only.
+An *engine* is a :data:`repro.engines.ENGINES` name or any callable
+``(X, Y, scheme, word_bits) -> (P,) scores`` returning exact per-pair
+maximum scores; the pool hands it each packed batch's sentinel-padded
+``X`` / ``Y`` code matrices (see :mod:`repro.serve.packer`).
 
 The pool owns N worker threads over a *bounded* internal queue, so a
 slow engine backs pressure up into the request queue (whose ``put``
@@ -28,12 +12,12 @@ back onto request futures, feed the result cache and record batch
 stats; an engine exception fails every future in the batch with
 :class:`~repro.serve.errors.EngineFailedError` — nothing hangs.
 
-For multi-core machines, :class:`ShardedEngine` wraps the ``bpbc`` or
-``numpy`` engine in a :class:`repro.shard.ShardExecutor`: each packed
-batch is split into cost-balanced shards and scored across a process
-pool, with per-shard timings fed into ``serve.stats``.  Construct it
-via ``EnginePool(engine="bpbc", shard_workers=N)`` or pass an instance
-as the engine.
+For multi-core machines, :class:`ShardedEngine` wraps a shardable
+engine (``bpbc`` or ``numpy``) in a :class:`repro.shard.ShardExecutor`:
+each packed batch is split into cost-balanced shards and scored across
+a process pool, with per-shard timings fed into ``serve.stats``.
+Construct it via ``EnginePool(engine="bpbc", shard_workers=N)`` or
+pass an instance as the engine.
 """
 
 from __future__ import annotations
@@ -45,122 +29,29 @@ import time
 
 import numpy as np
 
-from ..core.sw_bpbc import bpbc_sw_wavefront, bpbc_sw_wavefront_planes
+from ..engines import resolve
 from ..resilience.errors import FallbackExhaustedError
 from ..resilience.retry import RetryPolicy
-from ..swa.affine import AffineScheme
-from ..swa.numpy_batch import sw_batch_max_scores
 from .cache import ResultCache, cache_key
 from .errors import DeadlineExceededError, EngineFailedError
 from .packer import PackedBatch
 from .stats import ServiceStats
 
-__all__ = ["ENGINES", "SHARDABLE_ENGINES", "EnginePool", "ShardedEngine",
-           "ResilientEngine", "resolve_engine"]
-
-
-def _engine_bpbc(batch: PackedBatch, word_bits: int,
-                 cell: str | None = None) -> np.ndarray:
-    scheme = batch.scheme
-    protein = callable(getattr(scheme, "weights_key", None))
-    if protein or isinstance(scheme, AffineScheme):
-        # Protein / affine: always the character-plane path (protein
-        # codes exceed 2 bits even unpadded); the Gotoh engine handles
-        # gap_open != gap_extend, the linear substitution cell the rest.
-        Xp, Yp = batch.char_planes(word_bits)
-        if not protein or scheme.is_affine:
-            from ..core.affine_bpbc import bpbc_gotoh_wavefront_planes
-
-            result = bpbc_gotoh_wavefront_planes(Xp, Yp, scheme,
-                                                 word_bits, cell=cell)
-        else:
-            result = bpbc_sw_wavefront_planes(Xp, Yp, scheme,
-                                              word_bits, cell=cell)
-    elif batch.padded:
-        Xp, Yp = batch.char_planes(word_bits)
-        result = bpbc_sw_wavefront_planes(Xp, Yp, scheme,
-                                          word_bits, cell=cell)
-    else:
-        XH, XL, YH, YL = batch.bit_planes(word_bits)
-        result = bpbc_sw_wavefront(XH, XL, YH, YL, scheme,
-                                   word_bits, cell=cell)
-    return result.max_scores[:batch.pairs]
-
-
-def _engine_bpbc_jit(batch: PackedBatch, word_bits: int) -> np.ndarray:
-    return _engine_bpbc(batch, word_bits, cell="compiled")
-
-
-def _engine_numpy(batch: PackedBatch, word_bits: int) -> np.ndarray:
-    scheme = batch.scheme
-    if callable(getattr(scheme, "weights_key", None)):
-        from ..core.protein import subst_gotoh_batch_max_scores
-
-        return subst_gotoh_batch_max_scores(batch.X, batch.Y, scheme)
-    if isinstance(scheme, AffineScheme):
-        from ..swa.affine import gotoh_batch_max_scores
-
-        return gotoh_batch_max_scores(batch.X, batch.Y, scheme)
-    return sw_batch_max_scores(batch.X, batch.Y, batch.scheme)
-
-
-def _engine_gpusim(batch: PackedBatch, word_bits: int) -> np.ndarray:
-    from ..kernels.pipeline import run_gpu_pipeline
-
-    if not batch.padded:
-        scores, _ = run_gpu_pipeline(batch.X, batch.Y, batch.scheme,
-                                     word_bits)
-        return scores[:batch.pairs]
-    # Uniform-shape sub-runs: the simulated kernels take no sentinel
-    # codes (the affine pipeline's eps = 2 cannot represent them), and
-    # slicing each shape back to its real lengths strips the pads.
-    out = np.zeros(batch.pairs, dtype=np.int64)
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for p, req in enumerate(batch.requests):
-        shapes.setdefault((req.m, req.n), []).append(p)
-    for (m, n), rows in shapes.items():
-        idx = np.asarray(rows)
-        scores, _ = run_gpu_pipeline(batch.X[idx, :m], batch.Y[idx, :n],
-                                     batch.scheme, word_bits)
-        out[idx] = scores[:len(rows)]
-    return out
-
-
-#: Built-in engine registry (extend freely; values are engine callables).
-ENGINES = {
-    "bpbc": _engine_bpbc,
-    "bpbc-jit": _engine_bpbc_jit,
-    "numpy": _engine_numpy,
-    "gpusim": _engine_gpusim,
-}
-
-#: Engines a :class:`ShardedEngine` can spread across processes.
-SHARDABLE_ENGINES = ("bpbc", "bpbc-jit", "numpy")
-
-
-def resolve_engine(engine):
-    """Engine name or callable -> engine callable."""
-    if callable(engine):
-        return engine
-    try:
-        return ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of "
-            f"{sorted(ENGINES)} or a callable"
-        ) from None
+__all__ = ["EnginePool", "ShardedEngine", "ResilientEngine"]
 
 
 class ShardedEngine:
     """Engine wrapper scoring each batch across a shard process pool.
 
-    Wraps a *shardable* engine (one of :data:`SHARDABLE_ENGINES`; the
-    gpusim engine is simulation-bound and not shardable) in a persistent
+    Wraps a *shardable* engine (``shardable`` in
+    :data:`repro.engines.ENGINES`; the gpusim engine is
+    simulation-bound and not) in a persistent
     :class:`repro.shard.ShardExecutor`.  Satisfies the engine protocol
-    ``(PackedBatch, word_bits) -> scores``, so it plugs straight into
-    :class:`EnginePool` / :class:`~repro.serve.service.AlignmentService`.
-    Sentinel-padded batches shard exactly: the shard workers detect pad
-    codes and take the 3-plane path, same as :func:`_engine_bpbc`.
+    ``(X, Y, scheme, word_bits) -> scores``, so it plugs straight into
+    :class:`EnginePool` / :class:`~repro.serve.service.AlignmentService`;
+    the optional ``width`` caps one call's shard fan-out.
+    Sentinel-padded batches shard exactly: the shard workers score
+    them through the same engine table.
 
     Per-shard timings are recorded through ``stats.record_shard`` when
     a :class:`~repro.serve.stats.ServiceStats` is attached (the pool
@@ -182,12 +73,9 @@ class ShardedEngine:
         self.workers = self._executor.workers
         self.stats = stats
 
-    def __call__(self, batch: PackedBatch, word_bits: int) -> np.ndarray:
-        # The scheduler's width hint caps this batch's fan-out: a
-        # batch already inside its latency budget on one worker skips
-        # the shard dispatch overhead entirely.
-        result = self._executor.run(batch.X, batch.Y, batch.scheme,
-                                    width=batch.shard_width_hint)
+    def __call__(self, X, Y, scheme, word_bits: int,
+                 width: int | None = None) -> np.ndarray:
+        result = self._executor.run(X, Y, scheme, width=width)
         if self.stats is not None:
             for t in result.timings:
                 self.stats.record_shard(t.pairs, t.elapsed_s)
@@ -201,7 +89,7 @@ class ShardedEngine:
 class ResilientEngine:
     """Engine adapter scoring every batch through a fallback chain.
 
-    Satisfies the engine protocol ``(PackedBatch, word_bits) ->
+    Satisfies the engine protocol ``(X, Y, scheme, word_bits) ->
     scores`` but dispatches to an
     :class:`~repro.resilience.fallback.EngineFallbackChain`: the batch
     lands on the fastest engine whose circuit breaker admits traffic,
@@ -217,19 +105,19 @@ class ResilientEngine:
             chain = EngineFallbackChain(word_bits=word_bits)
         self.chain = chain
 
-    def __call__(self, batch: PackedBatch, word_bits: int) -> np.ndarray:
-        scores, _engine = self.chain.score(batch.X, batch.Y,
-                                           batch.scheme, word_bits)
+    def __call__(self, X, Y, scheme, word_bits: int) -> np.ndarray:
+        scores, _engine = self.chain.score(X, Y, scheme, word_bits)
         return scores
 
 
 class EnginePool:
     """N worker threads draining a bounded queue of packed batches.
 
-    ``shard_workers > 1`` wraps a named ``"bpbc"``/``"numpy"`` engine
-    in a :class:`ShardedEngine`, so every batch is additionally spread
-    across that many processes; the pool owns the wrapper and closes
-    it in :meth:`stop`.
+    ``shard_workers > 1`` wraps a shardable engine name in a
+    :class:`ShardedEngine`, so every batch is additionally spread
+    across that many processes (capped per batch by the scheduler's
+    ``shard_width_hint``); the pool owns the wrapper and closes it in
+    :meth:`stop`.
 
     ``fallback`` attaches an
     :class:`~repro.resilience.fallback.EngineFallbackChain` (pass
@@ -269,21 +157,16 @@ class EnginePool:
                                      word_bits=word_bits)
         self._owned_sharded: ShardedEngine | None = None
         if shard_workers is not None and shard_workers > 1:
-            if (not isinstance(engine, str)
-                    or engine not in SHARDABLE_ENGINES):
+            if not isinstance(engine, str):
                 raise ValueError(
-                    "shard_workers requires one of the "
-                    f"{SHARDABLE_ENGINES} engines, got {engine!r}"
+                    "shard_workers requires a shardable engine name, "
+                    f"got {engine!r}"
                 )
             self._owned_sharded = ShardedEngine(
                 engine, workers=shard_workers, word_bits=word_bits,
                 stats=stats, transport=transport)
             engine = self._owned_sharded
-        # A plain named engine can honour per-batch engine hints from
-        # the scheduler (all registry engines are bit-identical);
-        # wrapped/custom engines ignore hints.
-        self._engine_name = engine if isinstance(engine, str) else None
-        self._engine = resolve_engine(engine)
+        self._engine = resolve(engine)
         self._observer = observer
         self.workers = workers
         self.word_bits = word_bits
@@ -324,15 +207,15 @@ class EnginePool:
             batch = self._q.get()
             if batch is None:
                 return
-            engine_fn, label = self._engine, self._engine_name
-            if (batch.engine_hint is not None
-                    and self._engine_name is not None
-                    and batch.engine_hint in ENGINES):
-                engine_fn = ENGINES[batch.engine_hint]
-                label = batch.engine_hint
             t0 = time.perf_counter()
             try:
-                scores = engine_fn(batch, self.word_bits)
+                if isinstance(self._engine, ShardedEngine):
+                    scores = self._engine(batch.X, batch.Y, batch.scheme,
+                                          self.word_bits,
+                                          width=batch.shard_width_hint)
+                else:
+                    scores = self._engine(batch.X, batch.Y, batch.scheme,
+                                          self.word_bits)
             except Exception as exc:  # noqa: BLE001 - must not kill worker
                 if self.fallback_chain is not None:
                     self._rescue(batch, exc)
@@ -351,7 +234,7 @@ class EnginePool:
                                          elapsed)
             if self._observer is not None:
                 try:
-                    self._observer(batch, label, elapsed)
+                    self._observer(batch, elapsed)
                 except Exception:  # noqa: BLE001 - observer is advisory
                     pass
             self._deliver(batch.requests, scores)

@@ -40,27 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.encoding import (PAD_BITS, QUERY_PAD, SUBJECT_PAD,
-                             encode_batch_bit_transposed,
-                             encode_batch_char_planes)
+from ..core.encoding import PAD_BITS, QUERY_PAD, SUBJECT_PAD, scheme_pads
 from ..swa.scoring import ScoringScheme
 from .queue import AlignmentRequest
 
 __all__ = ["PackedBatch", "QUERY_PAD", "SUBJECT_PAD", "PAD_BITS",
            "scheme_pads", "bin_key", "bin_requests", "pack_requests"]
-
-
-def scheme_pads(scheme) -> tuple[int, int, int]:
-    """``(query_pad, subject_pad, char_bits)`` for a scoring scheme.
-
-    Schemes with an attached alphabet (protein) pack with that
-    alphabet's sentinel codes at its pad width; everything else uses
-    the DNA constants (pads 4 / 5, ``eps = 3``).
-    """
-    alph = getattr(scheme, "alphabet", None)
-    if alph is not None:
-        return alph.query_pad, alph.subject_pad, alph.pad_bits
-    return QUERY_PAD, SUBJECT_PAD, PAD_BITS
 
 
 @dataclass
@@ -77,10 +62,8 @@ class PackedBatch:
     Y: np.ndarray
     scheme: ScoringScheme
     padded: bool
-    #: Optional dispatch hints set by the adaptive scheduler: a named
-    #: bit-identical engine to score this batch on, and a shard
-    #: fan-out cap.  ``None`` = the pool's configured behaviour.
-    engine_hint: str | None = None
+    #: Shard fan-out cap set by the adaptive scheduler.  ``None`` =
+    #: the pool's full shard width.
     shard_width_hint: int | None = None
 
     @property
@@ -102,39 +85,6 @@ class PackedBatch:
     def lane_occupancy(self, word_bits: int) -> float:
         """Useful fraction of consumed lane bits (1.0 = no waste)."""
         return self.pairs / self.lane_slots(word_bits)
-
-    def bit_planes(self, word_bits: int):
-        """DNA ``(H, L)`` planes for both sides (uniform bins only).
-
-        Returns ``(XH, XL, YH, YL)`` straight from
-        :func:`encode_batch_bit_transposed`; raises on sentinel-padded
-        batches, whose codes exceed the 2-bit alphabet, and on schemes
-        whose alphabet is wider than 2 bits (protein).
-        """
-        if self.padded:
-            raise ValueError(
-                "sentinel-padded batch has 3-bit codes; use char_planes"
-            )
-        if getattr(self.scheme, "alphabet", None) is not None:
-            raise ValueError(
-                f"{type(self.scheme).__name__} codes exceed the 2-bit "
-                "DNA alphabet; use char_planes"
-            )
-        XH, XL = encode_batch_bit_transposed(self.X, word_bits)
-        YH, YL = encode_batch_bit_transposed(self.Y, word_bits)
-        return XH, XL, YH, YL
-
-    def char_planes(self, word_bits: int):
-        """``(eps, len, lanes)`` character planes for both sides.
-
-        ``eps`` is the scheme alphabet's pad width (5 for protein) or
-        the DNA sentinel width 3.
-        """
-        _, _, char_bits = scheme_pads(self.scheme)
-        return (encode_batch_char_planes(self.X, word_bits,
-                                         char_bits=char_bits),
-                encode_batch_char_planes(self.Y, word_bits,
-                                         char_bits=char_bits))
 
 
 def bin_key(request: AlignmentRequest,

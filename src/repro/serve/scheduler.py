@@ -29,15 +29,14 @@ Three decisions ride on that estimate:
 * **Batch shaping** (:meth:`batch_window`): the drain window is sized
   so one predicted batch fits in a fraction of the SLO, instead of
   always waiting for ``max_batch`` lanes.
-* **Dispatch hints** (:meth:`plan_batch`): per-batch engine choice
-  among bit-identical candidates (learned per-engine rates) and a
-  shard ``width`` hint — a batch predicted to finish within budget on
-  one worker skips the fan-out overhead entirely.
+* **Dispatch hint** (:meth:`plan_batch`): a per-batch shard
+  ``width`` — a batch predicted to finish within budget on one worker
+  skips the fan-out overhead entirely.
 
 Fault site ``serve.sched.mispredict`` models a stale or wrong rate:
 the estimate is inflated, so admission turns *conservative* (sheds
 load it could have served).  Scores are never affected — the scheduler
-only ever decides when and where, all engines are bit-identical.
+only ever decides when and how wide, never what is computed.
 """
 
 from __future__ import annotations
@@ -116,18 +115,13 @@ class AdaptiveScheduler:
     shard_workers:
         Shard width of the engine (``None``/1 = unsharded); bounds the
         ``width`` dispatch hint.
-    engines:
-        Bit-identical engine candidates for the per-batch engine hint
-        (e.g. ``("bpbc-jit", "bpbc")``).  ``None`` disables engine
-        hinting (the pool scores on its configured engine).
     """
 
     def __init__(self, slo_ms: float, word_bits: int = 64,
                  stats: ServiceStats | None = None,
                  max_batch: int = 64,
                  max_wait_s: float = 2e-3,
-                 shard_workers: int | None = None,
-                 engines: tuple[str, ...] | None = None) -> None:
+                 shard_workers: int | None = None) -> None:
         if slo_ms <= 0:
             raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         if max_batch <= 0:
@@ -141,52 +135,37 @@ class AdaptiveScheduler:
         self.max_wait_s = max_wait_s
         self.shard_workers = (shard_workers
                               if shard_workers is not None else 1)
-        self.engines = tuple(engines) if engines else ()
         self._lock = threading.Lock()
-        #: Learned EWMA rates, ns per modelled op.  ``None`` keys the
-        #: pool's configured engine (whatever it is); named keys hold
-        #: per-candidate rates for the engine hint.
-        self._ns_per_op: dict[str | None, float] = {}
+        #: Learned EWMA rate, ns per modelled op (``None`` until the
+        #: first observation).
+        self._ns_per_op: float | None = None
         #: Predicted-over-observed log for introspection/tests.
         self.observations = 0
         self.admitted = 0
         self.rejected = 0
 
     # -- the model ------------------------------------------------------
-    def rate(self, engine: str | None = None) -> float:
-        """Current ns-per-op estimate for ``engine`` (EWMA).
-
-        Unobserved engines inherit the pool (``None``) rate.  When the
-        pool rate itself is unobserved — every batch so far ran under
-        a named engine hint — the best learned candidate stands in:
-        that is the engine :meth:`plan_batch` would route to, so it is
-        what the next batch will actually cost.
-        """
+    def rate(self) -> float:
+        """Current ns-per-op estimate (EWMA)."""
         with self._lock:
-            r = self._ns_per_op.get(engine)
-            if r is None:
-                r = self._ns_per_op.get(None)
-            if r is None and self._ns_per_op:
-                r = min(self._ns_per_op.values())
+            r = self._ns_per_op
             return DEFAULT_NS_PER_OP if r is None else r
 
     def observe(self, pairs: int, m: int, n: int, scheme,
-                elapsed_s: float, engine: str | None = None) -> None:
+                elapsed_s: float) -> None:
         """Fold one completed batch's timing into the rate EWMA."""
         ops = batch_ops(pairs, m, n, scheme, self.word_bits)
         if ops <= 0 or elapsed_s <= 0:
             return
         sample = elapsed_s * 1e9 / ops
         with self._lock:
-            prev = self._ns_per_op.get(
-                engine, self._ns_per_op.get(None))
-            self._ns_per_op[engine] = (
+            prev = self._ns_per_op
+            self._ns_per_op = (
                 sample if prev is None
                 else prev + EWMA_ALPHA * (sample - prev))
             self.observations += 1
 
     def estimate_ms(self, pairs: int, m: int, n: int, scheme,
-                    engine: str | None = None,
                     width: int = 1) -> float:
         """Predicted engine time for one batch, in milliseconds.
 
@@ -198,7 +177,7 @@ class AdaptiveScheduler:
         served, completed scores stay exact.
         """
         ops = batch_ops(pairs, m, n, scheme, self.word_bits)
-        est = ops * self.rate(engine) / max(1, width) / 1e6
+        est = ops * self.rate() / max(1, width) / 1e6
         if should_inject("serve.sched.mispredict"):
             est *= MISPREDICT_FACTOR
         return est
@@ -275,45 +254,34 @@ class AdaptiveScheduler:
         wait = min(self.max_wait_s, self.slo_ms / 1e3 / 4)
         return items, wait
 
-    # -- dispatch hints -------------------------------------------------
+    # -- dispatch hint --------------------------------------------------
     def plan_batch(self, batch: PackedBatch) -> PackedBatch:
-        """Attach engine and shard-width hints to a packed batch.
+        """Attach a shard-width hint to a packed batch.
 
-        The engine hint picks the candidate with the lowest learned
-        rate (ties and unobserved candidates resolve to the first, the
-        configured preference order) — only among ``engines`` the
-        caller declared bit-identical.  The width hint is the smallest
-        shard fan-out predicted to land the batch inside the batch
-        budget; 1 skips fan-out overhead entirely.
+        The hint is the smallest shard fan-out predicted to land the
+        batch inside the batch budget; 1 skips fan-out overhead
+        entirely.
         """
-        engine = None
-        if self.engines:
-            rates = [(self.rate(e), i, e)
-                     for i, e in enumerate(self.engines)]
-            engine = min(rates)[2]
-            batch.engine_hint = engine
         if self.shard_workers > 1:
             budget_ms = self.slo_ms * BATCH_SLO_FRACTION
             base = self.estimate_ms(batch.pairs, batch.m, batch.n,
-                                    batch.scheme, engine=engine,
-                                    width=1)
+                                    batch.scheme, width=1)
             width = int(-(-base // budget_ms)) if budget_ms > 0 else 1
             batch.shard_width_hint = min(self.shard_workers,
                                          max(1, width))
         if self.stats is not None:
-            self.stats.record_scheduled(batch.engine_hint)
+            self.stats.record_scheduled()
         return batch
 
     # -- introspection --------------------------------------------------
     def snapshot(self) -> dict:
         """Scheduler state as one JSON-able dict (for stats gauges)."""
         with self._lock:
-            rates = {str(k): round(v, 4)
-                     for k, v in self._ns_per_op.items()}
+            rate = self._ns_per_op
             return {
                 "slo_ms": self.slo_ms,
                 "observations": self.observations,
                 "admitted": self.admitted,
                 "rejected": self.rejected,
-                "ns_per_op": rates,
+                "ns_per_op": None if rate is None else round(rate, 4),
             }

@@ -67,8 +67,9 @@ class AlignmentService:
     Parameters
     ----------
     engine:
-        ``"bpbc"`` (default), ``"numpy"``, ``"gpusim"`` or any
-        callable ``(PackedBatch, word_bits) -> scores``.
+        A :data:`repro.engines.ENGINES` name (``"bpbc"``, the
+        default, ``"numpy"`` or ``"gpusim"``), ``"resilient"``, or
+        any callable ``(X, Y, scheme, word_bits) -> scores``.
     workers:
         Engine worker threads.
     word_bits:
@@ -92,8 +93,8 @@ class AlignmentService:
     shard_workers:
         With a value > 1, every batch is additionally sharded across
         that many *processes* via
-        :class:`~repro.serve.engine_pool.ShardedEngine` (``bpbc`` /
-        ``numpy`` engines only); per-shard timings surface in
+        :class:`~repro.serve.engine_pool.ShardedEngine` (shardable
+        engines only); per-shard timings surface in
         ``stats.snapshot()``.
     resilience:
         ``True`` (or a ready-made
@@ -113,8 +114,8 @@ class AlignmentService:
         :class:`~repro.serve.scheduler.AdaptiveScheduler`: submissions
         whose predicted completion would miss the SLO are shed with a
         typed :class:`~repro.serve.errors.AdmissionRejected`, drain
-        windows shrink to fit the budget, and batches carry engine /
-        shard-width dispatch hints.  ``None`` (default) keeps the
+        windows shrink to fit the budget, and batches carry a
+        shard-width dispatch hint.  ``None`` (default) keeps the
         static packer.
     transport:
         Shard transport for ``shard_workers > 1``: ``"auto"``
@@ -163,19 +164,10 @@ class AlignmentService:
         #: before the pool so the observer hook can feed it timings.
         self.scheduler: AdaptiveScheduler | None = None
         if slo_ms is not None:
-            engines = None
-            if (isinstance(engine, str)
-                    and engine in ("bpbc", "bpbc-jit")
-                    and (shard_workers is None or shard_workers <= 1)):
-                # The two BPBC variants are bit-identical by
-                # construction (pinned by the fuzz suite), so the
-                # scheduler may route batches to whichever its learned
-                # rates favour.
-                engines = ("bpbc-jit", "bpbc")
             self.scheduler = AdaptiveScheduler(
                 slo_ms, word_bits=word_bits, stats=self.stats,
                 max_batch=self.max_batch, max_wait_s=self.max_wait_s,
-                shard_workers=shard_workers, engines=engines)
+                shard_workers=shard_workers)
             self.stats.set_scheduler_gauge(self.scheduler.snapshot)
         self.pool = EnginePool(engine=engine, workers=workers,
                                word_bits=word_bits, cache=self.cache,
@@ -198,12 +190,11 @@ class AlignmentService:
         self._stop = threading.Event()
         self._packer: threading.Thread | None = None
 
-    def _observe_batch(self, batch, engine_label, elapsed_s) -> None:
+    def _observe_batch(self, batch, elapsed_s) -> None:
         """Engine-pool observer: feed completed timings to the model."""
         if self.scheduler is not None:
             self.scheduler.observe(batch.pairs, batch.m, batch.n,
-                                   batch.scheme, elapsed_s,
-                                   engine=engine_label)
+                                   batch.scheme, elapsed_s)
 
     # -- lifecycle ------------------------------------------------------
     @property

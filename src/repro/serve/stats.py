@@ -41,7 +41,6 @@ class ServiceStats:
         self.recovered_by_engine: dict[str, int] = {}
         self.admission_rejected = 0
         self.scheduled_batches = 0
-        self.sched_engine_hints: dict[str, int] = {}
         self._latencies: deque[float] = deque(maxlen=latency_window)
         self._shard_times: deque[float] = deque(maxlen=latency_window)
         self._batch_times: deque[float] = deque(maxlen=latency_window)
@@ -111,13 +110,10 @@ class ServiceStats:
         with self._lock:
             self.admission_rejected += 1
 
-    def record_scheduled(self, engine_hint: str | None = None) -> None:
+    def record_scheduled(self) -> None:
         """Account one batch planned by the adaptive scheduler."""
         with self._lock:
             self.scheduled_batches += 1
-            if engine_hint is not None:
-                self.sched_engine_hints[engine_hint] = \
-                    self.sched_engine_hints.get(engine_hint, 0) + 1
 
     def set_queue_gauge(self, fn) -> None:
         """Register a zero-arg callable reporting current queue depth."""
@@ -199,7 +195,6 @@ class ServiceStats:
                 "recovered_by_engine": dict(self.recovered_by_engine),
                 "admission_rejected": self.admission_rejected,
                 "scheduled_batches": self.scheduled_batches,
-                "sched_engine_hints": dict(self.sched_engine_hints),
             }
         snap["mean_lane_occupancy"] = round(self.mean_lane_occupancy, 4)
         snap["queue_depth"] = self.queue_depth

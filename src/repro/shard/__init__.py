@@ -35,7 +35,7 @@ from .executor import (TRANSPORTS, ShardExecutor, ShardRunResult,
                        shard_bulk_max_scores)
 from .partition import pair_costs, partition_lpt, shard_loads
 from .shm import MIN_SHM_BYTES, ShmArena, ShmShardRef, shm_available
-from .worker import SHARD_ENGINES, ShardPayload, resolve_shard_engine
+from .worker import ShardPayload
 
 __all__ = [
     "ShardError",
@@ -43,7 +43,6 @@ __all__ = [
     "ShardRunResult",
     "ShardTiming",
     "ShardPayload",
-    "SHARD_ENGINES",
     "TRANSPORTS",
     "MIN_SHM_BYTES",
     "ShmArena",
@@ -51,7 +50,6 @@ __all__ = [
     "shm_available",
     "default_workers",
     "shard_bulk_max_scores",
-    "resolve_shard_engine",
     "pair_costs",
     "partition_lpt",
     "shard_loads",

@@ -36,14 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engines import ENGINES, resolve
 from ..resilience import faults as _faults
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from .errors import ShardError
 from .partition import pair_costs, partition_lpt
 from .shm import MIN_SHM_BYTES, ShmArena, shm_available
-from .worker import (as_contiguous_u8, init_worker, pack_shard,
-                     resolve_shard_engine, run_shard, run_shard_shm,
-                     score_shard)
+from .worker import (as_contiguous_u8, init_worker, pack_shard, run_shard,
+                     run_shard_shm, score_shard)
 
 __all__ = ["ShardTiming", "ShardRunResult", "ShardExecutor",
            "shard_bulk_max_scores", "default_workers", "TRANSPORTS"]
@@ -147,7 +147,8 @@ class ShardExecutor:
         Process count (default: the machine's usable CPUs).  ``1``
         runs in-process with no pool at all.
     engine:
-        ``"bpbc"`` (default), ``"numpy"``, or a picklable callable
+        A shardable :data:`repro.engines.ENGINES` name (``"bpbc"``,
+        the default, or ``"numpy"``) or a picklable callable
         ``(X, Y, scheme, word_bits) -> scores``.
     word_bits:
         Lane word width for the BPBC engine.
@@ -213,7 +214,14 @@ class ShardExecutor:
         self.bin_granularity = bin_granularity
         self.transport = transport
         self.shm_min_bytes = shm_min_bytes
-        self._engine_fn = resolve_shard_engine(engine)  # fail fast
+        if isinstance(engine, str) and not (engine in ENGINES
+                                            and ENGINES[engine].shardable):
+            shardable = [n for n, e in ENGINES.items() if e.shardable]
+            raise ValueError(
+                f"unknown shard engine {engine!r}; expected one of "
+                f"{shardable} or a picklable callable"
+            )
+        self._engine_fn = resolve(engine)
         self._engine_spec = engine
         self._requested_workers = workers
         self._ctx = _make_context(start_method) if workers > 1 else None

@@ -4,10 +4,10 @@ Everything a shard needs to cross a process boundary travels as flat,
 cheaply-picklable data: sequences ship as one packed ``uint8`` byte
 buffer per side plus an ``int32`` length table (:class:`ShardPayload`),
 and scores return as ``int64`` bytes.  No engine state, futures, or
-open resources are ever pickled — each worker process constructs its
-own engine from a name (or picklable callable) in :func:`init_worker`,
-which the pool runs once per worker under *any* start method
-(``fork``, ``spawn``, ``forkserver``).
+open resources are ever pickled — each worker process resolves its
+own engine from a :data:`repro.engines.ENGINES` name (or picklable
+callable) in :func:`init_worker`, which the pool runs once per worker
+under *any* start method (``fork``, ``spawn``, ``forkserver``).
 
 Inside a worker, a shard's (possibly ragged) pairs are grouped into
 length bins and sentinel-padded to the longest member of each bin —
@@ -26,17 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.encoding import (QUERY_PAD, SUBJECT_PAD,
-                             encode_batch_bit_transposed,
-                             encode_batch_char_planes)
-from ..core.sw_bpbc import bpbc_sw_wavefront, bpbc_sw_wavefront_planes
+from ..core.encoding import scheme_pads
+from ..engines import resolve
 from ..resilience.faults import FaultPlan, fault_point
-from ..swa.affine import AffineScheme
-from ..swa.numpy_batch import sw_batch_max_scores
 from ..swa.scoring import ScoringScheme
 
-__all__ = ["ShardPayload", "SHARD_ENGINES", "resolve_shard_engine",
-           "as_contiguous_u8", "pack_shard", "unpack_side",
+__all__ = ["ShardPayload", "as_contiguous_u8", "pack_shard", "unpack_side",
            "score_codes", "score_shard", "init_worker", "run_shard",
            "run_shard_shm"]
 
@@ -100,95 +95,6 @@ def unpack_side(buf: bytes, lens: bytes) -> list[np.ndarray]:
     return np.split(flat, bounds[:-1])
 
 
-def _score_bpbc(X: np.ndarray, Y: np.ndarray, scheme: ScoringScheme,
-                word_bits: int, cell: str | None = None) -> np.ndarray:
-    """BPBC wavefront scores for one rectangular (possibly sentinel-
-    padded) batch — the same dispatch as the serve engine pool.
-
-    Protein schemes route to the substitution cell (affine variants to
-    the Gotoh engine) over ``pad_bits`` character planes; DNA affine
-    schemes to the Gotoh engine; everything else takes the paper's
-    2-bit (or sentinel-padded 3-bit) linear path.
-    """
-    if callable(getattr(scheme, "weights_key", None)):
-        eps = scheme.alphabet.pad_bits
-        Xp = encode_batch_char_planes(X, word_bits, char_bits=eps)
-        Yp = encode_batch_char_planes(Y, word_bits, char_bits=eps)
-        if scheme.is_affine:
-            from ..core.affine_bpbc import bpbc_gotoh_wavefront_planes
-
-            result = bpbc_gotoh_wavefront_planes(Xp, Yp, scheme,
-                                                 word_bits, cell=cell)
-        else:
-            result = bpbc_sw_wavefront_planes(Xp, Yp, scheme, word_bits,
-                                              cell=cell)
-    elif isinstance(scheme, AffineScheme):
-        from ..core.affine_bpbc import bpbc_gotoh_wavefront_planes
-
-        padded = (X.size and X.max() > 3) or (Y.size and Y.max() > 3)
-        eps = 3 if padded else 2
-        result = bpbc_gotoh_wavefront_planes(
-            encode_batch_char_planes(X, word_bits, char_bits=eps),
-            encode_batch_char_planes(Y, word_bits, char_bits=eps),
-            scheme, word_bits, cell=cell)
-    elif (X.size and X.max() > 3) or (Y.size and Y.max() > 3):
-        result = bpbc_sw_wavefront_planes(
-            encode_batch_char_planes(X, word_bits),
-            encode_batch_char_planes(Y, word_bits),
-            scheme, word_bits, cell=cell)
-    else:
-        XH, XL = encode_batch_bit_transposed(X, word_bits)
-        YH, YL = encode_batch_bit_transposed(Y, word_bits)
-        result = bpbc_sw_wavefront(XH, XL, YH, YL, scheme, word_bits,
-                                   cell=cell)
-    return result.max_scores[:X.shape[0]]
-
-
-def _score_bpbc_jit(X: np.ndarray, Y: np.ndarray, scheme: ScoringScheme,
-                    word_bits: int) -> np.ndarray:
-    # Pinned to the repro.jit compiled evaluator; each worker process
-    # warms its own compiled-cell cache once in init_worker's engine.
-    return _score_bpbc(X, Y, scheme, word_bits, cell="compiled")
-
-
-def _score_numpy(X: np.ndarray, Y: np.ndarray, scheme: ScoringScheme,
-                 word_bits: int) -> np.ndarray:
-    # Sentinel codes never compare equal (and score the matrix minimum
-    # through the padded weight table), so padding is exact here too.
-    if callable(getattr(scheme, "weights_key", None)):
-        from ..core.protein import subst_gotoh_batch_max_scores
-
-        return subst_gotoh_batch_max_scores(X, Y, scheme)
-    if isinstance(scheme, AffineScheme):
-        from ..swa.affine import gotoh_batch_max_scores
-
-        return gotoh_batch_max_scores(X, Y, scheme)
-    return sw_batch_max_scores(X, Y, scheme)
-
-
-#: Engines a shard worker can construct by name.  Values are callables
-#: ``(X, Y, scheme, word_bits) -> (P,) scores`` over rectangular code
-#: matrices that may carry sentinel padding.
-SHARD_ENGINES = {
-    "bpbc": _score_bpbc,
-    "bpbc-jit": _score_bpbc_jit,
-    "numpy": _score_numpy,
-}
-
-
-def resolve_shard_engine(engine):
-    """Engine name or picklable callable -> shard engine callable."""
-    if callable(engine):
-        return engine
-    try:
-        return SHARD_ENGINES[engine]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown shard engine {engine!r}; expected one of "
-            f"{sorted(SHARD_ENGINES)} or a callable"
-        ) from None
-
-
 def score_codes(engine_fn, xs, ys, scheme: ScoringScheme,
                 word_bits: int, bin_granularity: int = 16) -> np.ndarray:
     """Score a ragged pair list through length bins.
@@ -203,9 +109,7 @@ def score_codes(engine_fn, xs, ys, scheme: ScoringScheme,
     """
     P = len(xs)
     out = np.zeros(P, dtype=np.int64)
-    alph = getattr(scheme, "alphabet", None)
-    qpad = alph.query_pad if alph is not None else QUERY_PAD
-    spad = alph.subject_pad if alph is not None else SUBJECT_PAD
+    qpad, spad, _ = scheme_pads(scheme)
     g = bin_granularity
     bins: dict[tuple[int, int], list[int]] = {}
     for p in range(P):
@@ -280,7 +184,7 @@ def init_worker(engine, word_bits: int, bin_granularity: int,
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _ENGINE, _WORD_BITS, _BIN_GRANULARITY
-    _ENGINE = resolve_shard_engine(engine)
+    _ENGINE = resolve(engine)
     _WORD_BITS = word_bits
     _BIN_GRANULARITY = bin_granularity
     if fault_plan is not None:

@@ -145,7 +145,6 @@ class TestCli:
         assert obj["summary"]["ok"] is True
         rules = {d["rule"] for d in obj["diagnostics"]}
         assert "contract.fault-sites" in rules
-        assert "contract.fallback-chain" in rules
 
     def test_json_quiet_drops_notes(self, capsys):
         import json

@@ -1,35 +1,17 @@
-"""Tests for the cross-layer contract lints."""
+"""Tests for the cross-layer contract lint."""
 
 from __future__ import annotations
 
 import textwrap
 
 from repro.analyze import Severity
-from repro.analyze.contracts import (RegistrySnapshot, analyze_contracts,
-                                     check_engine_registries,
-                                     check_fault_sites,
-                                     collect_fault_site_uses,
-                                     registry_snapshot)
+from repro.analyze.contracts import (analyze_contracts, check_fault_sites,
+                                     collect_fault_site_uses)
 
 
 def _rules(rep, severity=None):
     return [d.rule for d in rep.diagnostics
             if severity is None or d.severity is severity]
-
-
-def _snap(**overrides) -> RegistrySnapshot:
-    """A self-consistent snapshot; overrides introduce drift."""
-    base = dict(
-        shard_engines=("a", "b"),
-        shardable_engines=("a", "b"),
-        serve_engines=("a", "b", "c"),
-        cli_engine_choices=("a", "b", "c", "resilient"),
-        chain=("a", "b"),
-        resilience_engines=("a", "b"),
-        engine_fault_sites=("a", "b"),
-    )
-    base.update(overrides)
-    return RegistrySnapshot(**base)
 
 
 class TestLiveRepo:
@@ -43,43 +25,6 @@ class TestLiveRepo:
         assert rep.ok, rep.render()
         msgs = [d.message for d in rep.diagnostics]
         assert any("agree in both directions" in m for m in msgs)
-
-    def test_snapshot_reflects_the_cli(self):
-        snap = registry_snapshot()
-        assert "resilient" in snap.cli_engine_choices
-        assert set(snap.shard_engines) == set(snap.shardable_engines)
-        assert snap.chain == snap.resilience_engines
-
-
-class TestRegistryDrift:
-    def test_consistent_snapshot_is_all_notes(self):
-        rep = check_engine_registries(_snap())
-        assert rep.ok, rep.render()
-        assert len(rep.diagnostics) == 5
-
-    def test_shard_serve_drift(self):
-        rep = check_engine_registries(_snap(shard_engines=("a",)))
-        assert "contract.shard-engines" in _rules(rep, Severity.ERROR)
-
-    def test_shardable_outside_pool(self):
-        rep = check_engine_registries(
-            _snap(shardable_engines=("a", "b", "ghost"),
-                  shard_engines=("a", "b", "ghost")))
-        assert "contract.shardable-subset" in _rules(rep, Severity.ERROR)
-
-    def test_cli_missing_engine(self):
-        rep = check_engine_registries(
-            _snap(cli_engine_choices=("a", "b", "resilient")))
-        assert "contract.cli-engines" in _rules(rep, Severity.ERROR)
-
-    def test_chain_order_drift(self):
-        rep = check_engine_registries(_snap(chain=("b", "a")))
-        assert "contract.fallback-chain" in _rules(rep, Severity.ERROR)
-
-    def test_missing_engine_fault_site(self):
-        rep = check_engine_registries(_snap(engine_fault_sites=("a",)))
-        assert "contract.engine-fault-sites" in _rules(rep,
-                                                       Severity.ERROR)
 
 
 class TestFaultSiteLint:

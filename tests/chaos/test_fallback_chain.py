@@ -12,11 +12,11 @@ import pytest
 
 from repro.resilience.errors import (FallbackExhaustedError,
                                      SelfTestError)
-from repro.resilience.fallback import (KAT_EXPECTED, KAT_X, KAT_Y,
-                                       RESILIENCE_ENGINES,
-                                       EngineFallbackChain,
+from repro.resilience import fallback
+from repro.resilience.fallback import (DEFAULT_CHAIN, KAT_EXPECTED, KAT_X,
+                                       KAT_Y, EngineFallbackChain,
                                        engine_available)
-from repro.resilience.faults import FaultPlan, InjectedFault
+from repro.resilience.faults import SITES, FaultPlan, InjectedFault
 from repro.swa.numpy_batch import sw_batch_max_scores
 from repro.swa.scoring import DEFAULT_SCHEME
 
@@ -43,9 +43,9 @@ class TestKnownAnswerTest:
         assert tuple(int(v) for v in ref) == KAT_EXPECTED
 
     def test_interpreted_engines_always_pass(self):
-        # bpbc and numpy have no toolchain dependency: on every
+        # generic and numpy have no toolchain dependency: on every
         # machine the chain must keep at least these two engines.
-        assert engine_available("bpbc")
+        assert engine_available("generic")
         assert engine_available("numpy")
 
     def test_wrong_engine_raises_loudly(self, monkeypatch):
@@ -54,31 +54,40 @@ class TestKnownAnswerTest:
         def off_by_one(X, Y, scheme, word_bits):
             return sw_batch_max_scores(X, Y, scheme) + 1
 
-        monkeypatch.setitem(RESILIENCE_ENGINES, "numpy", off_by_one)
+        monkeypatch.setattr(fallback, "DEFAULT_CHAIN",
+                            DEFAULT_CHAIN[:-1] + (("numpy", off_by_one),))
         with pytest.raises(SelfTestError) as excinfo:
             engine_available("numpy")
         assert excinfo.value.engine == "numpy"
         assert excinfo.value.expected == KAT_EXPECTED
 
     def test_construction_under_fault_drops_and_reports(self):
-        with FaultPlan.single("engine.bpbc.fail"):
-            chain = EngineFallbackChain(engines=("bpbc", "numpy"))
+        with FaultPlan.single("engine.generic.fail"):
+            chain = EngineFallbackChain(engines=("generic", "numpy"))
         assert chain.engines == ("numpy",)
-        assert "bpbc" in chain.dropped
-        assert chain.states()["bpbc"]["state"] == "dropped"
+        assert "generic" in chain.dropped
+        assert chain.states()["generic"]["state"] == "dropped"
 
     def test_no_surviving_engine_raises_typed(self):
-        plan = FaultPlan([{"site": "engine.bpbc.fail"},
+        plan = FaultPlan([{"site": "engine.generic.fail"},
                           {"site": "engine.numpy.fail"}])
         with plan:
             with pytest.raises(FallbackExhaustedError):
-                EngineFallbackChain(engines=("bpbc", "numpy"))
+                EngineFallbackChain(engines=("generic", "numpy"))
 
     def test_chain_validation(self):
         with pytest.raises(ValueError, match="unknown resilience"):
-            EngineFallbackChain(engines=("bpbc", "turbo"))
+            EngineFallbackChain(engines=("generic", "turbo"))
         with pytest.raises(ValueError, match="must not be empty"):
             EngineFallbackChain(engines=())
+
+    def test_every_rung_has_a_catalogued_fault_site(self):
+        # The chaos suite fails each rung through its own
+        # engine.<rung>.fail site: rung names and catalogued engine
+        # sites must match in both directions.
+        rung_sites = {f"engine.{name}.fail" for name, _ in DEFAULT_CHAIN}
+        engine_sites = {s for s in SITES if s.startswith("engine.")}
+        assert rung_sites == engine_sites
 
 
 class TestDemotion:
@@ -181,7 +190,7 @@ class TestServiceIntegration:
     def test_failing_engine_rescued_via_chain(self):
         from repro.serve import AlignmentService
 
-        def broken_engine(batch, word_bits):
+        def broken_engine(X, Y, scheme, word_bits):
             raise RuntimeError("primary engine down")
 
         with AlignmentService(engine=broken_engine, resilience=True,

@@ -17,7 +17,7 @@ from repro.resilience.faults import (SITES, FaultPlan, FaultRule,
                                      deactivate, fault_point,
                                      known_sites, should_inject)
 
-SITE = "engine.bpbc.fail"  # an arbitrary registered site
+SITE = "engine.generic.fail"  # an arbitrary registered site
 
 
 def _schedule(plan: FaultPlan, site: str, calls: int) -> list[bool]:

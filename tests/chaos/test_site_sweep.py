@@ -453,8 +453,8 @@ def _scenario_engine_compiled_numpy(rng, seed):
     _engine_demotes(rng, "compiled-numpy")
 
 
-def _scenario_engine_bpbc(rng, seed):
-    _engine_demotes(rng, "bpbc")
+def _scenario_engine_generic(rng, seed):
+    _engine_demotes(rng, "generic")
 
 
 def _scenario_engine_numpy(rng, seed):
@@ -473,9 +473,9 @@ SCENARIOS = {
     "cluster.node.drop": _scenario_cluster_drop,
     "cluster.probe.flap": _scenario_cluster_probe_flap,
     "cluster.route.mispick": _scenario_cluster_route_mispick,
-    "engine.bpbc.fail": _scenario_engine_bpbc,
     "engine.compiled-c.fail": _scenario_engine_compiled_c,
     "engine.compiled-numpy.fail": _scenario_engine_compiled_numpy,
+    "engine.generic.fail": _scenario_engine_generic,
     "engine.numpy.fail": _scenario_engine_numpy,
     "gpusim.memory.fault": _scenario_gpusim_memory,
     "index.shard.open": _scenario_index_shard_open,

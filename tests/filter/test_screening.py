@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.encoding import QUERY_PAD, SUBJECT_PAD
 from repro.filter.screening import bulk_max_scores, screen_pairs
+from repro.swa.affine import AffineScheme, gotoh_batch_max_scores
+from repro.swa.numpy_batch import sw_batch_max_scores
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_max_score
 from repro.workloads.dna import MutationModel, homologous_pairs
@@ -70,6 +73,27 @@ class TestBulkMaxScores:
             bulk_max_scores(X, Y, SCHEME, chunk_size=7, workers=2),
             bulk_max_scores(X, Y, SCHEME),
         )
+
+    @pytest.mark.parametrize("affine", [False, True],
+                             ids=["linear", "affine"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sentinel_padded_dna(self, rng, workers, affine):
+        # Rows shorter than the batch carry the serve packer's trailing
+        # sentinels; in-process and sharded scoring must both accept
+        # them and match the wordwise reference exactly.
+        X = rng.integers(0, 4, (24, 12), dtype=np.uint8)
+        Y = rng.integers(0, 4, (24, 16), dtype=np.uint8)
+        for p in range(0, 24, 3):
+            X[p, rng.integers(4, 12):] = QUERY_PAD
+            Y[p, rng.integers(4, 16):] = SUBJECT_PAD
+        if affine:
+            scheme = AffineScheme(2, 1, 3, 1)
+            want = gotoh_batch_max_scores(X, Y, scheme)
+        else:
+            scheme = SCHEME
+            want = sw_batch_max_scores(X, Y, scheme)
+        np.testing.assert_array_equal(
+            bulk_max_scores(X, Y, scheme, workers=workers), want)
 
 
 class TestScreenPairs:

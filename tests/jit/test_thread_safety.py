@@ -22,7 +22,7 @@ from repro.core.encoding import encode_batch_bit_transposed
 from repro.core.sw_bpbc import bpbc_sw_wavefront
 from repro.jit import compiled_sw_cell
 from repro.serve import AlignmentService
-from repro.serve.engine_pool import _engine_bpbc
+from repro.filter.screening import bpbc_max_scores
 from repro.swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from repro.swa.sequential import sw_max_score
 from repro.workloads.datasets import paper_workload
@@ -120,8 +120,9 @@ class TestEnginePoolConcurrency:
     def test_service_compiled_numpy_engine_exact(self, rng):
         """EnginePool workers calling the compiled-numpy evaluator
         concurrently resolve every future to the exact DP score."""
-        def engine(batch, word_bits):
-            return _engine_bpbc(batch, word_bits, cell="compiled-numpy")
+        def engine(X, Y, scheme, word_bits):
+            return bpbc_max_scores(X, Y, scheme, word_bits,
+                                   cell="compiled-numpy")
 
         svc = AlignmentService(engine=engine, workers=4, max_wait_ms=2,
                                cache_size=0)

@@ -8,7 +8,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.serve.engine_pool import ENGINES
+from repro.engines import ENGINES
 from repro.serve.packer import (QUERY_PAD, SUBJECT_PAD, bin_key,
                                 bin_requests, pack_requests)
 from repro.serve.queue import AlignmentRequest
@@ -87,8 +87,6 @@ class TestPacking:
         (batch,) = pack_requests(reqs, granularity=4)
         assert not batch.padded
         assert batch.X.shape == (5, 8) and batch.Y.shape == (5, 12)
-        XH, XL, YH, YL = batch.bit_planes(64)
-        assert XH.shape == (8, 1) and YH.shape == (12, 1)
 
     def test_mixed_batch_uses_sentinels(self, rng):
         reqs = [make_request(rng, 8, 12), make_request(rng, 6, 10)]
@@ -96,10 +94,6 @@ class TestPacking:
         assert batch.padded
         assert (batch.X[1, 6:] == QUERY_PAD).all()
         assert (batch.Y[1, 10:] == SUBJECT_PAD).all()
-        with pytest.raises(ValueError):
-            batch.bit_planes(64)  # 3-bit codes: the 2-bit path must balk
-        Xp, Yp = batch.char_planes(64)
-        assert Xp.shape == (3, 8, 1) and Yp.shape == (3, 12, 1)
 
     def test_lane_occupancy_accounting(self, rng):
         reqs = [make_request(rng, 8, 8) for _ in range(3)]
@@ -111,7 +105,7 @@ class TestPacking:
         assert batch.lane_slots(64) == 128
         assert batch.lane_occupancy(64) == pytest.approx(65 / 128)
 
-    @pytest.mark.parametrize("engine", ["bpbc", "bpbc-jit", "numpy"])
+    @pytest.mark.parametrize("engine", ["bpbc", "numpy", "gpusim"])
     def test_sentinel_padding_is_exact(self, rng, engine):
         """Padded scores must equal each pair's own-length DP exactly:
         the sentinels match nothing, so the padded maximum cannot move."""
@@ -119,7 +113,8 @@ class TestPacking:
                              int(rng.integers(5, 17)))
                 for _ in range(20)]
         for batch in pack_requests(reqs, granularity=16):
-            scores = ENGINES[engine](batch, 64)
+            scores = ENGINES[engine].score(batch.X, batch.Y,
+                                           batch.scheme, 64)
             for req, got in zip(batch.requests, scores):
                 want = sw_max_score(req.query, req.subject, req.scheme)
                 assert int(got) == want

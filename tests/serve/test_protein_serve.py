@@ -1,10 +1,10 @@
 """Protein-scheme handling in the serve layer.
 
-Covers the alphabet-aware packer sentinels (`scheme_pads`,
-`PackedBatch.bit_planes` / `char_planes`), scheme-keyed binning, and
-the wire-protocol scheme dispatch (`server._scheme_from`).  The
-bit-exactness of the scores themselves is the fuzz battery's job
-(tests/test_protein_differential_fuzz.py); these are the unit seams.
+Covers the alphabet-aware packer sentinels (`scheme_pads`),
+scheme-keyed binning, and the wire-protocol scheme dispatch
+(`server._scheme_from`).  The bit-exactness of the scores themselves
+is the fuzz battery's job (tests/test_protein_differential_fuzz.py);
+these are the unit seams.
 """
 
 from __future__ import annotations
@@ -64,22 +64,6 @@ class TestProteinPacking:
         assert batch.X.shape == (2, 16) and batch.Y.shape == (2, 16)
         assert (batch.X[0, 8:] == PROTEIN_X.query_pad).all()
         assert (batch.Y[1, 9:] == PROTEIN_X.subject_pad).all()
-
-    def test_bit_planes_refuses_protein_codes(self):
-        rng = np.random.default_rng(6)
-        reqs = _requests(PROTEIN, [(8, 8)], rng)
-        (batch,) = pack_requests(reqs, granularity=8)
-        assert not batch.padded  # exact fit — refusal is alphabet-driven
-        with pytest.raises(ValueError, match="char_planes"):
-            batch.bit_planes(64)
-
-    def test_char_planes_are_pad_bits_wide(self):
-        rng = np.random.default_rng(7)
-        reqs = _requests(PROTEIN, [(8, 12), (5, 9)], rng)
-        (batch,) = pack_requests(reqs, granularity=16)
-        Xp, Yp = batch.char_planes(32)
-        assert Xp.shape[0] == Yp.shape[0] == PROTEIN_X.pad_bits
-        assert Xp.shape[1] == batch.m and Yp.shape[1] == batch.n
 
     def test_schemes_bin_separately(self):
         rng = np.random.default_rng(8)

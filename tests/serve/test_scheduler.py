@@ -1,9 +1,9 @@
-"""AdaptiveScheduler: cost model, admission, shaping, dispatch hints,
-and end-to-end bit-identity of an SLO-scheduled service.
+"""AdaptiveScheduler: cost model, admission, shaping, the shard-width
+hint, and end-to-end bit-identity of an SLO-scheduled service.
 
-The scheduler only ever decides *when and where* a batch runs — every
-candidate engine is bit-identical — so the one invariant no test here
-may weaken is: scores served under an SLO equal the scalar reference.
+The scheduler only ever decides *when and how wide* a batch runs, so
+the one invariant no test here may weaken is: scores served under an
+SLO equal the scalar reference.
 """
 
 from __future__ import annotations
@@ -71,36 +71,6 @@ class TestCostModel:
         expected = 0.25 + EWMA_ALPHA * (0.75 - 0.25)
         assert sched.rate() == pytest.approx(expected)
         assert sched.observations == 2
-
-    def test_per_engine_rates_fall_back_to_pool_rate(self):
-        sched = AdaptiveScheduler(slo_ms=100.0)
-        ops = batch_ops(4, 16, 16, SCHEME)
-        sched.observe(4, 16, 16, SCHEME, elapsed_s=ops * 1e-9)
-        # Unobserved named engine inherits the pool (None) rate.
-        assert sched.rate("bpbc-jit") == sched.rate(None)
-        sched.observe(4, 16, 16, SCHEME, elapsed_s=ops * 3e-9,
-                      engine="bpbc-jit")
-        # A named engine's first sample EWMAs from the inherited pool
-        # rate (its prior), rather than seeding outright.
-        expected = 1.0 + EWMA_ALPHA * (3.0 - 1.0)
-        assert sched.rate("bpbc-jit") == pytest.approx(expected)
-        assert sched.rate(None) == pytest.approx(1.0)
-
-    def test_pool_rate_falls_back_to_best_named_rate(self):
-        # When every batch ran under an engine hint, the None (pool)
-        # key is never observed — admission, which estimates with
-        # engine=None, must still see the learned rates or it would
-        # keep using the pessimistic default forever.
-        sched = AdaptiveScheduler(slo_ms=100.0,
-                                  engines=("bpbc-jit", "bpbc"))
-        ops = batch_ops(4, 16, 16, SCHEME)
-        sched.observe(4, 16, 16, SCHEME, elapsed_s=ops * 5e-9,
-                      engine="bpbc")
-        sched.observe(4, 16, 16, SCHEME, elapsed_s=ops * 2e-9,
-                      engine="bpbc-jit")
-        # The best learned candidate stands in for the pool rate:
-        # that is the engine plan_batch would route the batch to.
-        assert sched.rate(None) == pytest.approx(2.0)
 
     def test_estimate_scales_with_width(self):
         sched = AdaptiveScheduler(slo_ms=100.0)
@@ -185,22 +155,6 @@ class TestShapingAndHints:
         assert items == 1
         assert wait == pytest.approx(1.0 / 1e3 / 4)
 
-    def test_plan_batch_prefers_fastest_learned_engine(self, rng):
-        sched = AdaptiveScheduler(slo_ms=100.0,
-                                  engines=("bpbc-jit", "bpbc"))
-        ops = batch_ops(8, 32, 32, SCHEME)
-        sched.observe(8, 32, 32, SCHEME, elapsed_s=ops * 5e-9,
-                      engine="bpbc-jit")
-        sched.observe(8, 32, 32, SCHEME, elapsed_s=ops * 1e-9,
-                      engine="bpbc")
-        batch = sched.plan_batch(_batch(rng))
-        assert batch.engine_hint == "bpbc"
-
-    def test_plan_batch_unobserved_keeps_preference_order(self, rng):
-        sched = AdaptiveScheduler(slo_ms=100.0,
-                                  engines=("bpbc-jit", "bpbc"))
-        assert sched.plan_batch(_batch(rng)).engine_hint == "bpbc-jit"
-
     def test_width_hint_is_minimal_sufficient_fanout(self, rng):
         sched = AdaptiveScheduler(slo_ms=100.0, shard_workers=8)
         # A 125 ms single-worker batch against a 50 ms budget needs
@@ -228,7 +182,7 @@ class TestShapingAndHints:
         snap = json.loads(json.dumps(sched.snapshot()))
         assert snap["slo_ms"] == 50.0
         assert snap["observations"] == 1
-        assert "None" in snap["ns_per_op"]
+        assert snap["ns_per_op"] == pytest.approx(1.0)
 
 
 class TestPriorityQueue:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.serve import (AlignmentService, EngineFailedError,
                          QueueFullError, ServiceStoppedError)
-from repro.serve.engine_pool import ENGINES
+from repro.engines import ENGINES
 from repro.serve.errors import DeadlineExceededError
 from repro.swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from repro.swa.sequential import sw_max_score
@@ -180,7 +180,7 @@ class TestFailureModes:
             svc.submit(*random_pair(rng))
 
     def test_engine_exception_fails_futures(self, rng):
-        def broken(batch, word_bits):
+        def broken(X, Y, scheme, word_bits):
             raise RuntimeError("kaboom")
 
         with AlignmentService(engine=broken, max_wait_ms=1) as svc:
@@ -192,9 +192,9 @@ class TestFailureModes:
     def test_backpressure_rejects_under_saturation(self, rng):
         release = threading.Event()
 
-        def slow(batch, word_bits):
+        def slow(X, Y, scheme, word_bits):
             release.wait(timeout=60)
-            return ENGINES["numpy"](batch, word_bits)
+            return ENGINES["numpy"].score(X, Y, scheme, word_bits)
 
         svc = AlignmentService(engine=slow, workers=1, max_queue=1,
                                max_batch=1, max_wait_ms=0,

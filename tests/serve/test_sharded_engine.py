@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engines import ENGINES
 from repro.serve import AlignmentService
-from repro.serve.engine_pool import ENGINES, EnginePool, ShardedEngine
+from repro.serve.engine_pool import EnginePool, ShardedEngine
 from repro.serve.packer import pack_requests
 from repro.serve.stats import ServiceStats
 from repro.swa.scoring import ScoringScheme
@@ -28,8 +29,9 @@ class TestShardedEngine:
         engine = ShardedEngine(engine="bpbc", workers=2)
         try:
             for batch in batches:
-                got = engine(batch, 64)
-                want = ENGINES["bpbc"](batch, 64)
+                args = (batch.X, batch.Y, batch.scheme, 64)
+                got = engine(*args)
+                want = ENGINES["bpbc"].score(*args)
                 np.testing.assert_array_equal(got, want)
         finally:
             engine.close()
@@ -39,7 +41,7 @@ class TestShardedEngine:
         engine = ShardedEngine(engine="bpbc", workers=2, stats=stats)
         try:
             for batch in _mixed_batches():
-                engine(batch, 64)
+                engine(batch.X, batch.Y, batch.scheme, 64)
         finally:
             engine.close()
         snap = stats.snapshot()
@@ -56,7 +58,8 @@ class TestShardedEngine:
 class TestEnginePoolSharding:
     def test_shard_workers_requires_named_engine(self):
         with pytest.raises(ValueError, match="shard_workers"):
-            EnginePool(engine=lambda batch, wb: None, shard_workers=2)
+            EnginePool(engine=lambda X, Y, scheme, wb: None,
+                       shard_workers=2)
 
     def test_bad_shard_workers(self):
         with pytest.raises(ValueError):

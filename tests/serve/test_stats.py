@@ -65,13 +65,11 @@ class TestSchedulerCounters:
     def test_admission_and_scheduling_counters(self):
         stats = ServiceStats()
         stats.record_admission_rejected()
-        stats.record_scheduled("bpbc-jit")
-        stats.record_scheduled("bpbc-jit")
-        stats.record_scheduled(None)  # unhinted batch still counts
+        stats.record_scheduled()
+        stats.record_scheduled()
         snap = stats.snapshot()
         assert snap["admission_rejected"] == 1
-        assert snap["scheduled_batches"] == 3
-        assert snap["sched_engine_hints"] == {"bpbc-jit": 2}
+        assert snap["scheduled_batches"] == 2
 
     def test_scheduler_gauge_appears_in_snapshot(self):
         stats = ServiceStats()

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 import repro.shard.executor as executor_mod
+from repro.engines import ENGINES, resolve
 from repro.filter.screening import bulk_max_scores
 from repro.shard import (ShardError, ShardExecutor, shard_bulk_max_scores)
-from repro.shard.worker import (SHARD_ENGINES, pack_shard,
-                                resolve_shard_engine, score_codes,
-                                unpack_side)
+from repro.shard.worker import pack_shard, score_codes, unpack_side
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_max_score
 
@@ -32,14 +31,14 @@ def _poison_engine(X, Y, scheme, word_bits):
     """Engine that raises on any batch containing a poisoned pair."""
     if X.size and np.any(X[:, 0] == POISON):
         raise RuntimeError("poisoned pair reached the engine")
-    return SHARD_ENGINES["bpbc"](X, Y, scheme, word_bits)
+    return ENGINES["bpbc"].score(X, Y, scheme, word_bits)
 
 
 def _crash_engine(X, Y, scheme, word_bits):
     """Engine that hard-kills its worker process on a poisoned pair."""
     if X.size and np.any(X[:, 0] == POISON):
         os._exit(3)
-    return SHARD_ENGINES["bpbc"](X, Y, scheme, word_bits)
+    return ENGINES["bpbc"].score(X, Y, scheme, word_bits)
 
 
 def _rect_batch(rng, pairs=96, m=40, n=56):
@@ -250,6 +249,8 @@ class TestValidation:
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown shard engine"):
             ShardExecutor(workers=1, engine="cuda")
+        with pytest.raises(ValueError, match="unknown shard engine"):
+            ShardExecutor(workers=1, engine="gpusim")  # not shardable
 
     def test_bad_errors_mode(self, rng):
         X, Y = _rect_batch(rng, pairs=4)
@@ -293,7 +294,7 @@ class TestWorkerLayer:
 
         def spy(X, Y, scheme, word_bits):
             calls.append((X.copy(), Y.copy()))
-            return SHARD_ENGINES["bpbc"](X, Y, scheme, word_bits)
+            return ENGINES["bpbc"].score(X, Y, scheme, word_bits)
 
         xs = [rng.integers(0, 4, size=33, dtype=np.uint8)
               for _ in range(8)]
@@ -308,20 +309,12 @@ class TestWorkerLayer:
 
     def test_score_codes_ragged_matches_gold(self, rng):
         xs, ys = _ragged_batch(rng, pairs=20)
-        scores = score_codes(SHARD_ENGINES["bpbc"], xs, ys, SCHEME, 64,
+        scores = score_codes(ENGINES["bpbc"].score, xs, ys, SCHEME, 64,
                              bin_granularity=16)
         assert np.array_equal(scores, _gold(xs, ys))
 
-    def test_score_codes_jit_engine_matches_gold(self, rng):
-        xs, ys = _ragged_batch(rng, pairs=20)
-        scores = score_codes(SHARD_ENGINES["bpbc-jit"], xs, ys, SCHEME,
-                             64, bin_granularity=16)
-        assert np.array_equal(scores, _gold(xs, ys))
-
     def test_resolve_engine(self):
-        assert resolve_shard_engine("bpbc") is SHARD_ENGINES["bpbc"]
-        assert resolve_shard_engine("bpbc-jit") \
-            is SHARD_ENGINES["bpbc-jit"]
-        assert resolve_shard_engine(_poison_engine) is _poison_engine
+        assert resolve("bpbc") is ENGINES["bpbc"].score
+        assert resolve(_poison_engine) is _poison_engine
         with pytest.raises(ValueError):
-            resolve_shard_engine("nope")
+            resolve("nope")

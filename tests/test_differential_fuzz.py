@@ -33,7 +33,7 @@ import pytest
 
 from repro.core.encoding import decode, encode_batch_bit_transposed
 from repro.core.sw_bpbc import bpbc_sw_wavefront
-from repro.serve.engine_pool import ENGINES
+from repro.engines import ENGINES
 from repro.serve.packer import pack_requests
 from repro.serve.queue import AlignmentRequest
 from repro.shard import ShardExecutor
@@ -197,11 +197,11 @@ def test_cell_evaluators_bit_identical(fuzz_groups):
             )
 
 
-def test_serve_bpbc_jit_engine_agrees(fuzz_groups):
-    """The ``bpbc-jit`` serve engine, fed sentinel-padded mixed-shape
+def test_serve_bpbc_engine_agrees(fuzz_groups):
+    """The ``bpbc`` engine, fed sentinel-padded mixed-shape serve
     batches — the compiled evaluator on the 3-plane path, exactly as
     the alignment service drives it."""
-    engine = ENGINES["bpbc-jit"]
+    engine = ENGINES["bpbc"].score
     for scheme in SCHEMES:
         groups = [g for g in fuzz_groups if g.scheme == scheme]
         requests, gold_of = [], {}
@@ -214,11 +214,12 @@ def test_serve_bpbc_jit_engine_agrees(fuzz_groups):
                 requests.append(req)
                 gold_of[id(req)] = int(g.gold[p])
         for batch in pack_requests(requests, granularity=64):
-            scores = np.asarray(engine(batch, WORD_BITS))
+            scores = np.asarray(engine(batch.X, batch.Y, batch.scheme,
+                                       WORD_BITS))
             want = np.asarray([gold_of[id(r)] for r in batch.requests])
             bad = np.flatnonzero(scores != want)
             assert bad.size == 0, (
-                f"serve engine bpbc-jit disagrees with gold on "
+                f"serve engine bpbc disagrees with gold on "
                 f"{bad.size} of {batch.pairs} pairs "
                 f"(padded={batch.padded}, scheme={scheme}, "
                 f"seed={SEED}; rerun: REPRO_FUZZ_SEED={SEED}); "

@@ -44,7 +44,7 @@ from repro.core.matrices import (BLOSUM50, BLOSUM62, PAM250,
 from repro.core.protein import (ProteinScheme, subst_gotoh_batch_max_scores,
                                 subst_gotoh_max_score)
 from repro.core.sw_bpbc import bpbc_sw_wavefront_planes
-from repro.serve.engine_pool import ENGINES
+from repro.engines import ENGINES
 from repro.serve.packer import pack_requests
 from repro.serve.queue import AlignmentRequest
 
@@ -264,11 +264,11 @@ def test_gpusim_pipeline_agrees(fuzz_groups):
                      np.concatenate([scores[:take], g.gold[take:]]))
 
 
-@pytest.mark.parametrize("engine_name", ["numpy", "bpbc-jit"])
+@pytest.mark.parametrize("engine_name", ["numpy", "bpbc"])
 def test_serve_engines_agree(fuzz_groups, engine_name):
     """Serve engines, fed sentinel-padded mixed-shape protein batches
     exactly as the alignment service packs them."""
-    engine = ENGINES[engine_name]
+    engine = ENGINES[engine_name].score
     for scheme in SCHEMES:
         groups = [g for g in fuzz_groups if g.scheme == scheme][:5]
         requests, gold_of = [], {}
@@ -281,7 +281,7 @@ def test_serve_engines_agree(fuzz_groups, engine_name):
                 requests.append(req)
                 gold_of[id(req)] = int(g.gold[p])
         for batch in pack_requests(requests, granularity=64):
-            scores = np.asarray(engine(batch, 64))
+            scores = np.asarray(engine(batch.X, batch.Y, batch.scheme, 64))
             want = np.asarray([gold_of[id(r)] for r in batch.requests])
             bad = np.flatnonzero(scores != want)
             assert bad.size == 0, (
