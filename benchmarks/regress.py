@@ -2,8 +2,8 @@
 """Bench-regression harness for the SWA cell evaluators.
 
 Times the bitwise wavefront engine on the Table IV acceptance workload
-once per cell evaluator (``generic`` interpreter, ``folded`` netlist,
-``compiled-numpy``, and ``compiled`` with automatic backend choice),
+once per cell evaluator (``generic`` interpreter, ``compiled-numpy``,
+and ``compiled`` with automatic backend choice),
 calibrates against the wordwise NumPy engine on the same workload, and
 records a ``BENCH_<n>.json`` snapshot at the repo root.  A protein
 entry (``protein-compiled``) times the compiled substitution-matrix
@@ -27,14 +27,9 @@ Usage::
 separate ``quick`` section, so CI quick runs compare against the
 committed quick baseline, never against full-scale numbers.
 
-``--write`` additionally records three evidence sections that
+``--write`` additionally records a ``transport`` evidence section that
 ``--check`` never gates (timings do not transfer across machines): a
-``transport`` ladder showing shm-vs-pickle shard transport cost as the
-payload grows, a ``serve`` record showing the SLO scheduler shedding
-an overload burst that drowns the static service, and a ``cluster``
-record comparing the 3-node coordinator against a single node —
-healthy and with a node SIGKILLed mid-batch — after asserting the
-scores bit-identical.
+ladder showing shm-vs-pickle shard transport cost as the payload grows.
 
 ``--rounds N`` measures the whole section N times and keeps each
 entry's best (lowest) ``rel``.  Shared CI runners are noisy neighbours:
@@ -76,7 +71,7 @@ PROTEIN_SCHEME = ProteinScheme(BLOSUM62, gap_open=11, gap_extend=1)
 WORD_BITS = 64
 
 #: Evaluators tracked by the snapshot, slowest first.
-CELLS = ("generic", "folded", "compiled-numpy", "compiled")
+CELLS = ("generic", "compiled-numpy", "compiled")
 
 #: Workload per section.  ``full`` is the Table IV acceptance workload
 #: (same shape as ``benchmarks/conftest.py``'s ``bench_batch``);
@@ -280,162 +275,6 @@ def run_transport_section(verbose: bool = True) -> dict | None:
     }
 
 
-#: Serve evidence: the overload burst of the scheduler benchmark
-#: (see benchmarks/test_bench_transport.py for the full rationale).
-SERVE_WARMUP = 8
-SERVE_WARMUP_RPS = 4.0
-SERVE_REQUESTS = 128
-SERVE_M = 512
-SERVE_SLO_MS = 100.0
-SERVE_MAX_BATCH = 8
-
-
-def run_serve_section(verbose: bool = True) -> dict:
-    """Static vs SLO-scheduled service under one burst (evidence).
-
-    Both services see the same warm-up and the same burst; the static
-    one drains everything late, the adaptive one sheds at admission
-    and keeps its completions near the SLO.  Scores are asserted
-    bit-identical to the single-process reference before anything is
-    recorded — a snapshot of wrong answers would be worthless.
-    """
-    sys.path.insert(0, str(ROOT / "benchmarks"))
-    from traffic import replay, request_stream
-
-    from repro.filter.screening import bulk_max_scores
-    from repro.serve import AlignmentService
-
-    rng = np.random.default_rng(41)
-    warm = list(request_stream(rng, SERVE_WARMUP,
-                               rate_per_s=SERVE_WARMUP_RPS, m=SERVE_M))
-    burst = list(request_stream(rng, SERVE_REQUESTS,
-                                rate_per_s=np.inf, m=SERVE_M))
-    expected = bulk_max_scores(np.stack([r.query for r in burst]),
-                               np.stack([r.subject for r in burst]),
-                               SCHEME)
-
-    def _run(slo_ms):
-        service = AlignmentService(engine="bpbc", workers=1,
-                                   max_wait_ms=2.0, cache_size=0,
-                                   max_batch=SERVE_MAX_BATCH,
-                                   max_queue=4096, slo_ms=slo_ms)
-        with service:
-            replay(service, warm)
-            report = replay(service, burst, realtime=False)
-        got = [r.score for r in report.results]
-        want = [int(expected[i]) for i in report.indices]
-        if got != want:
-            raise AssertionError(
-                "served scores diverged from the reference")
-        return {
-            "completed": report.completed,
-            "rejected": report.rejected,
-            "p50_ms": round(report.percentile_ms(50), 1),
-            "p99_ms": round(report.p99_ms, 1),
-            "goodput_rps": round(report.goodput_rps(SERVE_SLO_MS), 1),
-        }
-
-    static = _run(slo_ms=None)
-    adaptive = _run(slo_ms=SERVE_SLO_MS)
-    if verbose:
-        print(f"[serve] burst of {SERVE_REQUESTS} x {SERVE_M} nt, "
-              f"SLO {SERVE_SLO_MS:.0f} ms:")
-        for name, rec in (("static", static), ("adaptive", adaptive)):
-            print(f"  {name:<8} {rec['completed']:4d} completed "
-                  f"({rec['rejected']} shed), p99 {rec['p99_ms']:7.1f} "
-                  f"ms, goodput {rec['goodput_rps']:6.1f}/s")
-    return {
-        "workload": {"requests": SERVE_REQUESTS, "m": SERVE_M,
-                     "slo_ms": SERVE_SLO_MS,
-                     "max_batch": SERVE_MAX_BATCH,
-                     "warmup": SERVE_WARMUP, "seed": 41},
-        "static": static,
-        "adaptive": adaptive,
-    }
-
-
-#: Cluster evidence: coordinator-vs-single-node on one mixed batch.
-CLUSTER_NODES = 3
-CLUSTER_DNA_PAIRS = 48
-CLUSTER_PROTEIN_PAIRS = 16
-CLUSTER_SEED = 20260808
-
-
-def run_cluster_section(verbose: bool = True) -> dict | None:
-    """Coordinator vs single node (snapshot evidence; never gated).
-
-    Boots a real 3-subprocess harness, scores the cluster_bench mixed
-    batch through the coordinator, kills one node mid-batch, and
-    records healthy/chaos timings plus routing counters — after
-    asserting every score bit-identical to the single-node reference.
-    Returns None where subprocesses or sockets are unavailable.
-    """
-    sys.path.insert(0, str(ROOT / "benchmarks"))
-    import time
-
-    from cluster_bench import (DNA_SCHEME, PROTEIN_SCHEME,
-                               mixed_batches, single_node_reference)
-
-    from repro.cluster import LocalCluster
-    from repro.resilience.faults import FaultPlan
-
-    rng = np.random.default_rng(CLUSTER_SEED)
-    dna, protein = mixed_batches(rng, CLUSTER_DNA_PAIRS,
-                                 CLUSTER_PROTEIN_PAIRS)
-    try:
-        dna_gold, protein_gold, single_s = single_node_reference(
-            dna, protein)
-        with LocalCluster(n=CLUSTER_NODES,
-                          startup_timeout_s=120.0) as lc:
-            with lc.coordinator(deadline_s=60.0) as coord:
-                t0 = time.perf_counter()
-                got_d = coord.score_batch(dna, DNA_SCHEME)
-                got_p = coord.score_batch(protein, PROTEIN_SCHEME)
-                healthy_s = time.perf_counter() - t0
-                if list(got_d) != dna_gold or \
-                        list(got_p) != protein_gold:
-                    raise AssertionError(
-                        "cluster scores diverged from the "
-                        "single-node reference")
-                with FaultPlan.single("cluster.node.drop",
-                                      seed=CLUSTER_SEED, times=1):
-                    t0 = time.perf_counter()
-                    kill_d = coord.score_batch(dna, DNA_SCHEME)
-                    chaos_s = time.perf_counter() - t0
-                if list(kill_d) != dna_gold:
-                    raise AssertionError(
-                        "post-kill scores diverged from the "
-                        "single-node reference")
-                status = coord.status()
-    except Exception as exc:  # noqa: BLE001 - evidence only
-        if verbose:
-            print(f"[cluster] harness unavailable — skipped ({exc})")
-        return None
-    cluster = status["cluster"]
-    record = {
-        "workload": {"nodes": CLUSTER_NODES,
-                     "dna_pairs": CLUSTER_DNA_PAIRS,
-                     "protein_pairs": CLUSTER_PROTEIN_PAIRS,
-                     "seed": CLUSTER_SEED},
-        "single_node_s": round(single_s, 3),
-        "cluster_healthy_s": round(healthy_s, 3),
-        "cluster_node_killed_s": round(chaos_s, 3),
-        "rerouted": cluster["rerouted"],
-        "degraded": cluster["degraded"],
-        "shed": cluster["shed"],
-        "per_node_p99_ms": {
-            n["name"]: round(n["p99_ms"], 1)
-            for n in status["per_node"] if n["p99_ms"] is not None},
-    }
-    if verbose:
-        print(f"[cluster] {CLUSTER_NODES} nodes, "
-              f"{CLUSTER_DNA_PAIRS}+{CLUSTER_PROTEIN_PAIRS} pairs: "
-              f"single {single_s:5.2f}s, cluster {healthy_s:5.2f}s, "
-              f"node-killed {chaos_s:5.2f}s "
-              f"(rerouted {cluster['rerouted']}, bit-identical)")
-    return record
-
-
 def snapshot_paths() -> list[Path]:
     """Committed snapshots at the repo root, oldest first."""
     def index(p: Path) -> int:
@@ -523,17 +362,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.write is not None:
         # Snapshots always carry both sections so later full *and*
         # quick runs have a baseline to compare against — plus the
-        # transport/serve/cluster evidence sections (never gated: check()
-        # only compares per-mode entries).
+        # transport evidence section (never gated: check() only
+        # compares per-mode entries).
         result["full"] = run_section_best("full", args.rounds)
         result["quick"] = run_section_best("quick", args.rounds)
         transport = run_transport_section()
         if transport is not None:
             result["transport"] = transport
-        result["serve"] = run_serve_section()
-        cluster = run_cluster_section()
-        if cluster is not None:
-            result["cluster"] = cluster
     else:
         result[mode] = run_section_best(mode, args.rounds)
 

@@ -6,8 +6,6 @@ from .approx_matching import bpbc_count_mismatches, bpbc_k_mismatch
 from .bitops import OpCounter
 from .bitsliced import BitSlicedUInt
 from .netlist import Netlist, build_sw_cell_netlist
-from .oblivious import ObliviousProgram, sw_cell_program
-from .tstv import TsTvScheme, tstv_cell
 from .circuits import add_b, greater_than, matching_b, max_b, ssub_b, sw_cell
 from .encoding import decode, encode, encode_batch_bit_transposed
 from .string_matching import bpbc_string_matching, match_offsets
@@ -27,8 +25,6 @@ __all__ = [
     "Alphabet", "DNA", "RNA", "PROTEIN", "MURPHY10",
     "bpbc_k_mismatch", "bpbc_count_mismatches",
     "Netlist", "build_sw_cell_netlist",
-    "ObliviousProgram", "sw_cell_program",
-    "TsTvScheme", "tstv_cell",
     "transpose_bits", "untranspose_bits", "transpose_bits_reduced",
     "untranspose_bits_reduced", "count_reduced_ops", "table1_row",
 ]

@@ -22,7 +22,7 @@ diagonal, E and F live in single row-padded plane sets updated *in
 place* — E is read and rewritten at the same padded row (the diagonal
 column shift), F read one row above its write.  Every evaluator
 computes the whole cell before storing (the compiled ones by
-construction, the interpreted ones because their outputs are fresh
+construction, the generic one because its outputs are fresh
 arrays), and the C kernel walks rows descending so the H write at
 padded ``r + 1`` lands only after that row has been consumed as a
 diagonal input — the same hazard argument as the linear engine.
@@ -79,12 +79,11 @@ def bpbc_gotoh_wavefront_planes(Xp, Yp, scheme, word_bits: int,
     an :class:`~repro.swa.affine.AffineScheme` (DNA equality diagonal)
     or a :class:`repro.core.protein.ProteinScheme` (substitution mux
     tree).  ``cell`` picks the evaluator exactly as in the linear
-    engine — ``"generic"`` (interpreted, op-countable), ``"folded"``
-    (netlist interpreter), ``"compiled"``/``"compiled-c"``/
-    ``"compiled-numpy"`` (the :mod:`repro.jit` fused Gotoh step), or a
-    callable ``(h_left, e_left, h_up, f_up, h_diag, x, y) ->
-    (H, E, F)``.  All are bit-identical, pinned against the scalar
-    Gotoh reference by the differential battery.
+    engine — ``"generic"`` (interpreted, op-countable) or
+    ``"compiled"``/``"compiled-c"``/``"compiled-numpy"`` (the
+    :mod:`repro.jit` fused Gotoh step); any other value raises
+    :class:`BitOpsError`.  All are bit-identical, pinned against the
+    scalar Gotoh reference by the differential battery.
     """
     Xp = np.asarray(Xp)
     Yp = np.asarray(Yp)
@@ -120,9 +119,7 @@ def bpbc_gotoh_wavefront_planes(Xp, Yp, scheme, word_bits: int,
     if cell is None:
         cell = "generic" if counter is not None else "compiled"
     step = None
-    if callable(cell):
-        eval_cell = cell
-    elif cell in ("compiled", "compiled-c", "compiled-numpy"):
+    if cell in ("compiled", "compiled-c", "compiled-numpy"):
         if counter is not None:
             raise BitOpsError(
                 "op counting is only supported for the generic cell"
@@ -136,23 +133,6 @@ def bpbc_gotoh_wavefront_planes(Xp, Yp, scheme, word_bits: int,
                                         weights=wk)
         Xp = np.ascontiguousarray(Xp, dtype=dt)
         Yp = np.ascontiguousarray(Yp, dtype=dt)
-    elif cell == "folded":
-        if counter is not None:
-            raise BitOpsError(
-                "op counting is only supported for the generic cell"
-            )
-        from .netlist import build_gotoh_cell_netlist
-
-        net = build_gotoh_cell_netlist(s, go, ge, c1=c1, c2=c2,
-                                       weights=wk, eps=eps)
-
-        def eval_cell(h_left, e_left, h_up, f_up, h_diag, x, y):
-            flat = net.evaluate(
-                {"h_left": h_left, "e_left": e_left, "h_up": h_up,
-                 "f_up": f_up, "h_diag": h_diag, "x": x, "y": y},
-                word_bits=word_bits,
-            )
-            return flat[:s], flat[s:2 * s], flat[2 * s:]
     elif cell == "generic":
         def eval_cell(h_left, e_left, h_up, f_up, h_diag, x, y):
             return gotoh_cell_b(h_left, e_left, h_up, f_up, h_diag,
@@ -161,8 +141,7 @@ def bpbc_gotoh_wavefront_planes(Xp, Yp, scheme, word_bits: int,
     else:
         raise BitOpsError(
             f"unknown cell evaluator {cell!r}; expected one of "
-            f"{CELL_EVALUATORS} or a callable "
-            "(h_left, e_left, h_up, f_up, h_diag, x, y) -> (H, E, F)"
+            f"{CELL_EVALUATORS}"
         )
     # Row-padded state: padded index i + 1 holds DP row i, padded row 0
     # is a permanent zero.  h1/h2 double-buffer H (h2 also serves the

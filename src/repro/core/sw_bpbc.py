@@ -184,8 +184,7 @@ def bpbc_sw_wavefront(XH, XL, YH, YL, scheme: ScoringScheme,
 
     ``cell`` selects the circuit evaluator (see
     :func:`bpbc_sw_wavefront_planes` for the full list): ``"generic"``
-    runs the paper-literal straight-line circuit, ``"folded"``
-    interprets the constant-folded gate netlist, and ``"compiled"``
+    runs the paper-literal straight-line circuit and ``"compiled"``
     runs the :mod:`repro.jit` generated evaluator — the default when
     no op counter is requested.  Results are bit-identical across all
     evaluators; the op counter is only supported for ``"generic"``.
@@ -198,8 +197,7 @@ def bpbc_sw_wavefront(XH, XL, YH, YL, scheme: ScoringScheme,
 
 
 #: Valid ``cell=`` strings for the wavefront engines.
-CELL_EVALUATORS = ("generic", "folded", "compiled", "compiled-c",
-                   "compiled-numpy")
+CELL_EVALUATORS = ("generic", "compiled", "compiled-c", "compiled-numpy")
 
 
 def bpbc_sw_wavefront_planes(Xp, Yp, scheme: ScoringScheme,
@@ -223,23 +221,20 @@ def bpbc_sw_wavefront_planes(Xp, Yp, scheme: ScoringScheme,
     bigger netlist").  Affine protein schemes go through
     :func:`repro.core.affine_bpbc.bpbc_gotoh_wavefront_planes`.
 
-    ``cell`` picks the circuit evaluator — all bit-identical:
+    ``cell`` picks the circuit evaluator — all bit-identical; any
+    name outside :data:`CELL_EVALUATORS` raises :class:`BitOpsError`:
 
     ``"generic"``
         The paper-literal straight-line circuit of
-        :func:`repro.core.circuits.sw_cell`; the only evaluator that
-        supports the op ``counter``.
-    ``"folded"``
-        Interprets the constant-folded netlist of
-        :func:`repro.core.netlist.build_sw_cell_netlist`.
+        :func:`repro.core.circuits.sw_cell`; the oracle, and the only
+        evaluator that supports the op ``counter``.
     ``"compiled"`` / ``"compiled-c"`` / ``"compiled-numpy"``
-        The :mod:`repro.jit` fused cell + running-max step —
+        The :mod:`repro.jit` fused cell + running-max step, generated
+        from the constant-folded netlist of
+        :func:`repro.core.netlist.build_sw_cell_netlist` —
         ``"compiled"`` auto-selects the native backend when a C
         toolchain exists and the generated-NumPy backend otherwise;
         the suffixed forms force one backend.
-    a callable
-        ``(up, left, diag, x, y) -> planes``, evaluated like
-        ``"generic"`` (see :mod:`repro.core.tstv` for an example).
     ``None`` (default)
         ``"compiled"``, unless a ``counter`` is supplied, in which
         case ``"generic"`` so op accounting keeps working.  The
@@ -284,9 +279,7 @@ def bpbc_sw_wavefront_planes(Xp, Yp, scheme: ScoringScheme,
     if cell is None:
         cell = "generic" if counter is not None else "compiled"
     step = None
-    if callable(cell):
-        eval_cell = cell
-    elif cell in ("compiled", "compiled-c", "compiled-numpy"):
+    if cell in ("compiled", "compiled-c", "compiled-numpy"):
         if counter is not None:
             raise BitOpsError(
                 "op counting is only supported for the generic cell"
@@ -303,23 +296,6 @@ def bpbc_sw_wavefront_planes(Xp, Yp, scheme: ScoringScheme,
                                          backend=backend)
         Xp = np.ascontiguousarray(Xp, dtype=dt)
         Yp = np.ascontiguousarray(Yp, dtype=dt)
-    elif cell == "folded":
-        if counter is not None:
-            raise BitOpsError(
-                "op counting is only supported for the generic cell"
-            )
-        from .netlist import build_subst_sw_cell_netlist, build_sw_cell_netlist
-
-        if wk is not None:
-            net = build_subst_sw_cell_netlist(s, gap, wk, eps=eps)
-        else:
-            net = build_sw_cell_netlist(s, gap, c1, c2, eps=eps)
-
-        def eval_cell(up, left, diag, x, y):
-            return net.evaluate(
-                {"up": up, "left": left, "diag": diag, "x": x, "y": y},
-                word_bits=word_bits,
-            )
     elif cell == "generic":
         if wk is not None:
             from .subst import subst_sw_cell
@@ -334,8 +310,7 @@ def bpbc_sw_wavefront_planes(Xp, Yp, scheme: ScoringScheme,
     else:
         raise BitOpsError(
             f"unknown cell evaluator {cell!r}; expected one of "
-            f"{CELL_EVALUATORS} or a callable "
-            "(up, left, diag, x, y) -> planes"
+            f"{CELL_EVALUATORS}"
         )
     # prev1/prev2[h, i+1, :] = row i's value on diagonals t-1 / t-2;
     # row padding keeps index 0 at zero forever.  The buffers double-

@@ -6,8 +6,9 @@ paper's design on this machine:
 * **score width s** — circuit cost is linear in s (Theorem 6);
 * **bulk width** — the BPBC advantage needs wide batches: sweep the
   pair count to find the crossover against the wordwise engine;
-* **cell evaluator** — paper-literal circuit vs constant-folded
-  netlist (the optimisation a tuned kernel applies);
+* **cell evaluator** — paper-literal circuit vs the constant-folded
+  netlist compiled by :mod:`repro.jit` (the optimisation a tuned
+  kernel applies);
 * **gap model** — the affine (Gotoh) engine's overhead over linear;
 * **alphabet width** — protein (eps=5) vs DNA (eps=2) per-cell cost.
 """
@@ -72,18 +73,16 @@ def bulk_width_study(m: int = 32, n: int = 128) -> list[dict]:
 
 def cell_evaluator_study(pairs: int = 2048, m: int = 64,
                          n: int = 256) -> dict:
-    # Larger lane arrays than the other studies: the folded netlist's
-    # win is per-NumPy-call, so it needs arrays big enough that call
-    # dispatch is not the bottleneck.
-    """Generic circuit vs folded netlist vs repro.jit compiled cell."""
+    """Generic circuit vs the repro.jit compiled cell.
+
+    Larger lane arrays than the other studies, so the generic cell's
+    per-NumPy-call dispatch is not the whole story."""
     batch = paper_workload(n, pairs=pairs, m=m, seed=23)
     XH, XL = encode_batch_bit_transposed(batch.X, 64)
     YH, YL = encode_batch_bit_transposed(batch.Y, 64)
     s = SCHEME.score_bits(m, n)
     generic_ms = _timed(bpbc_sw_wavefront, XH, XL, YH, YL, SCHEME, 64,
                         None, None, "generic")
-    folded_ms = _timed(bpbc_sw_wavefront, XH, XL, YH, YL, SCHEME, 64,
-                       None, None, "folded")
     compiled_ms = _timed(bpbc_sw_wavefront, XH, XL, YH, YL, SCHEME, 64,
                          None, None, "compiled")
     net = build_sw_cell_netlist(s, SCHEME.gap_penalty,
@@ -91,10 +90,8 @@ def cell_evaluator_study(pairs: int = 2048, m: int = 64,
                                 SCHEME.mismatch_penalty)
     return {
         "generic_ms": generic_ms,
-        "folded_ms": folded_ms,
         "compiled_ms": compiled_ms,
-        "speedup": generic_ms / folded_ms,
-        "compiled_speedup": generic_ms / compiled_ms,
+        "speedup": generic_ms / compiled_ms,
         "generic_ops": sw_cell_ops_exact(s, 2),
         "folded_gates": net.logic_gate_count(),
     }
@@ -152,12 +149,10 @@ def run(verbose: bool = True) -> str:
     parts.append(render_table(
         ["evaluator", "ops or gates / cell", "time (ms)"],
         [["generic circuit", ce["generic_ops"], ce["generic_ms"]],
-         ["folded netlist", ce["folded_gates"], ce["folded_ms"]],
          ["compiled (repro.jit)", ce["folded_gates"],
           ce["compiled_ms"]]],
         title="Ablation: constant folding + compilation "
-              f"(folded {ce['speedup']:.2f}x, compiled "
-              f"{ce['compiled_speedup']:.2f}x)"))
+              f"(compiled {ce['speedup']:.2f}x)"))
     gm = gap_model_study()
     parts.append(render_table(
         ["gap model", "time (ms)"],

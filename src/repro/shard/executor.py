@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -59,6 +60,34 @@ def default_workers() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+#: Seconds a pool teardown waits for workers to honour SIGTERM before
+#: it kills them.
+_TEARDOWN_GRACE_S = 2.0
+
+
+def _terminate_pool(pool) -> None:
+    """``pool.terminate()`` + ``pool.join()`` that cannot hang.
+
+    ``Pool.terminate`` SIGTERMs the workers and then joins each one
+    with no timeout, so a worker that ignores SIGTERM (an engine that
+    masks signals, or one wedged in native code) would hang the caller
+    forever.  The stock teardown runs on a helper thread; if the
+    workers have not exited after :data:`_TEARDOWN_GRACE_S`, every
+    survivor is SIGKILLed and the teardown gets one more grace period
+    to finish.
+    """
+    stopper = threading.Thread(target=pool.terminate, daemon=True)
+    stopper.start()
+    stopper.join(_TEARDOWN_GRACE_S)
+    if stopper.is_alive():
+        for proc in list(pool._pool):
+            if proc.is_alive():
+                proc.kill()
+        stopper.join(_TEARDOWN_GRACE_S)
+    if not stopper.is_alive():
+        pool.join()
 
 
 def _make_context(start_method: str | None):
@@ -264,8 +293,7 @@ class ShardExecutor:
         """
         pool, self._pool = self._pool, None
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            _terminate_pool(pool)
         if self._arena is not None:
             # A wedged worker may wake up later and write into its old
             # reply slots; retiring the generation makes that write
@@ -287,8 +315,7 @@ class ShardExecutor:
         abandoned)."""
         pool, self._pool = self._pool, None
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            _terminate_pool(pool)
         arena, self._arena = self._arena, None
         if arena is not None:
             arena.close()

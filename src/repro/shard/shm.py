@@ -33,8 +33,9 @@ Failure model: an attach failure in a worker (site
 executor retries the shard through the pickle transport —
 bit-identical recovery, one transport down.  An unlink failure at
 retirement (site ``shard.shm.unlink``) is absorbed: the segment leaks
-until process exit, the run's scores are unaffected, and
-:attr:`ShmArena.unlink_failures` counts the leak.
+until :meth:`ShmArena.close` or process exit, which unlink it again;
+the run's scores are unaffected, and :attr:`ShmArena.unlink_failures`
+counts the failure.
 """
 
 from __future__ import annotations
@@ -206,8 +207,10 @@ class ShmArena:
         self._seg = None
         #: Generations created over this arena's lifetime.
         self.generations = 0
-        #: Segments whose unlink failed (leaked until process exit).
+        #: Segments whose unlink failed at retirement.
         self.unlink_failures = 0
+        #: Retired segments still awaiting unlink (retried at close).
+        self._leaked: list = []
         self._atexit = self.close
         atexit.register(self._atexit)
 
@@ -233,8 +236,9 @@ class ShmArena:
         its pool after a worker death (a wedged worker may still hold
         a mapping — unlink is safe, the pages survive until every map
         closes), and from :meth:`close`.  Fault site
-        ``shard.shm.unlink`` fires here; an unlink failure only leaks
-        the segment, it never fails a run.
+        ``shard.shm.unlink`` fires here; an unlink failure never fails
+        a run, it only leaks the segment until :meth:`close` or process
+        exit retries the unlink.
         """
         seg, self._seg = self._seg, None
         if seg is None:
@@ -247,14 +251,26 @@ class ShmArena:
             fault_point("shard.shm.unlink")
             seg.unlink()
         except Exception:
-            # Injected or organic (already-unlinked, permissions):
-            # degrade by leaking the segment until process exit.
+            # Injected or organic (already unlinked, permissions):
+            # degrade by leaking the segment until close() or process
+            # exit retries it.
             self.unlink_failures += 1
+            self._leaked.append(seg)
 
     def close(self) -> None:
-        """Retire the live segment and drop the atexit hook."""
+        """Retire the live segment, unlink any segment whose earlier
+        unlink failed, and drop the atexit hook once none is left."""
         self.retire()
-        if self._atexit is not None:
+        stuck = []
+        for seg in self._leaked:
+            try:
+                seg.unlink()
+            except FileNotFoundError:
+                pass  # already gone
+            except OSError:
+                stuck.append(seg)  # the atexit hook retries
+        self._leaked = stuck
+        if self._atexit is not None and not self._leaked:
             try:
                 atexit.unregister(self._atexit)
             except Exception:  # pragma: no cover - interpreter teardown

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings as hypothesis_settings
@@ -16,6 +18,31 @@ hypothesis_settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 hypothesis_settings.load_profile("repro")
+
+
+_SHM_DIR = Path("/dev/shm")
+
+
+def _shm_segments() -> set[str]:
+    """Names of the ``multiprocessing.shared_memory`` segments present."""
+    if not _SHM_DIR.is_dir():
+        return set()
+    return {p.name for p in _SHM_DIR.glob("psm_*")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_shm_segments():
+    """Fail the run if it leaves a shared-memory segment behind.
+
+    Every segment the shard transport creates must be unlinked by the
+    time the tests finish; one that survives outlives the interpreter
+    too and accumulates in ``/dev/shm`` run after run.
+    """
+    before = _shm_segments()
+    yield
+    leaked = _shm_segments() - before
+    assert not leaked, (
+        f"test run leaked shared-memory segments: {sorted(leaked)}")
 
 
 @pytest.fixture

@@ -116,16 +116,6 @@ class TestGeneralEngine:
         np.testing.assert_array_equal(legacy.max_scores,
                                       general.max_scores)
 
-    def test_folded_cell_with_protein(self, rng):
-        P, m, n = 20, 5, 9
-        X = rng.integers(0, 20, (P, m)).astype(np.uint8)
-        Y = rng.integers(0, 20, (P, n)).astype(np.uint8)
-        Xp = PROTEIN.batch_planes(X, 32)
-        Yp = PROTEIN.batch_planes(Y, 32)
-        g = bpbc_sw_wavefront_planes(Xp, Yp, SCHEME, 32, cell="generic")
-        f = bpbc_sw_wavefront_planes(Xp, Yp, SCHEME, 32, cell="folded")
-        np.testing.assert_array_equal(g.max_scores, f.max_scores)
-
     def test_cost_grows_by_2eps(self, rng):
         """Protein costs exactly 2*(5-2) = 6 ops per cell over DNA."""
         m, n = 3, 4

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.affine_bpbc import bpbc_gotoh_wavefront_planes
 from repro.core.bitops import BitOpsError, OpCounter
 from repro.core.bitsliced import BitSlicedUInt
 from repro.core.circuits import max_b_ops, sw_cell_ops_exact
 from repro.core.encoding import encode_batch_bit_transposed
 from repro.core.sw_bpbc import (
+    CELL_EVALUATORS,
     bpbc_sw_sequential,
     bpbc_sw_wavefront,
     reduce_max_rows,
 )
+from repro.swa.affine import AffineScheme
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_max_score
 
@@ -241,35 +244,35 @@ def test_wavefront_equals_gold_property(m, n, P, w, seed):
     np.testing.assert_array_equal(r.max_scores[:P], _gold(X, Y))
 
 
-class TestFoldedCellEvaluator:
-    def test_folded_equals_generic(self, rng):
-        _, _, XH, XL, YH, YL = _planes(rng, 70, 6, 12, 32)
-        g = bpbc_sw_wavefront(XH, XL, YH, YL, SCHEME, 32,
-                              cell="generic")
-        f = bpbc_sw_wavefront(XH, XL, YH, YL, SCHEME, 32,
-                              cell="folded")
-        np.testing.assert_array_equal(g.max_scores, f.max_scores)
-        np.testing.assert_array_equal(g.score_planes, f.score_planes)
+def _not_a_cell(*planes):
+    return planes
 
-    def test_folded_with_other_schemes(self, rng):
-        for scheme in (ScoringScheme(1, 1, 1), ScoringScheme(3, 2, 2)):
-            X, Y, XH, XL, YH, YL = _planes(rng, 20, 5, 9, 64)
-            f = bpbc_sw_wavefront(XH, XL, YH, YL, scheme, 64,
-                                  cell="folded")
-            np.testing.assert_array_equal(f.max_scores[:20],
-                                          _gold(X, Y, scheme))
 
-    def test_folded_rejects_counter(self, rng):
+class TestCellEvaluatorSet:
+    """``cell=`` is a closed set of names; anything else is rejected."""
+
+    BAD_CELLS = pytest.mark.parametrize(
+        "cell", ["simd", "folded", _not_a_cell],
+        ids=["simd", "folded", "callable"],
+    )
+
+    def test_names(self):
+        assert CELL_EVALUATORS == ("generic", "compiled", "compiled-c",
+                                   "compiled-numpy")
+
+    @BAD_CELLS
+    def test_unknown_evaluator_rejected(self, rng, cell):
         _, _, XH, XL, YH, YL = _planes(rng, 8, 3, 5, 32)
-        with pytest.raises(BitOpsError):
-            bpbc_sw_wavefront(XH, XL, YH, YL, SCHEME, 32,
-                              counter=OpCounter(), cell="folded")
+        with pytest.raises(BitOpsError, match="unknown cell evaluator"):
+            bpbc_sw_wavefront(XH, XL, YH, YL, SCHEME, 32, cell=cell)
 
-    def test_unknown_evaluator_rejected(self, rng):
+    @BAD_CELLS
+    def test_unknown_gotoh_evaluator_rejected(self, rng, cell):
         _, _, XH, XL, YH, YL = _planes(rng, 8, 3, 5, 32)
-        with pytest.raises(BitOpsError):
-            bpbc_sw_wavefront(XH, XL, YH, YL, SCHEME, 32,
-                              cell="simd")
+        Xp, Yp = np.stack([XL, XH]), np.stack([YL, YH])
+        with pytest.raises(BitOpsError, match="unknown cell evaluator"):
+            bpbc_gotoh_wavefront_planes(Xp, Yp, AffineScheme(2, 1, 3, 1),
+                                        32, cell=cell)
 
 
 class TestCompiledCellEvaluator:

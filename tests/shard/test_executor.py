@@ -8,6 +8,9 @@ pickle under any ``multiprocessing`` start method.
 from __future__ import annotations
 
 import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +41,17 @@ def _crash_engine(X, Y, scheme, word_bits):
     """Engine that hard-kills its worker process on a poisoned pair."""
     if X.size and np.any(X[:, 0] == POISON):
         os._exit(3)
+    return ENGINES["bpbc"].score(X, Y, scheme, word_bits)
+
+
+def _stubborn_engine(X, Y, scheme, word_bits):
+    """Engine whose worker ignores SIGTERM while wedged on a poisoned
+    pair.  The wedge is bounded and SIGTERM is honoured again after
+    it, so a worker that teardown failed to kill still exits."""
+    if X.size and np.any(X[:, 0] == POISON):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        time.sleep(20)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     return ENGINES["bpbc"].score(X, Y, scheme, word_bits)
 
 
@@ -209,6 +223,48 @@ class TestPoolRebuild:
             # healthy and must not be churned.
             ex.run(X, Y, SCHEME, errors="return")
             assert ex.rebuilds == 0
+
+
+class TestBoundedTeardown:
+    """A worker that ignores SIGTERM must not hang pool teardown."""
+
+    @staticmethod
+    def _finishes(fn, within_s=15.0) -> bool:
+        # Run in a thread so an unbounded join fails the test instead
+        # of hanging the suite.
+        t = threading.Thread(target=fn, daemon=True)
+        t.start()
+        t.join(within_s)
+        return not t.is_alive()
+
+    def test_close_kills_sigterm_ignoring_worker(self, rng):
+        X, Y = _rect_batch(rng, pairs=24, m=16, n=16)
+        X[0, 0] = POISON
+        ex = ShardExecutor(workers=2, engine=_stubborn_engine)
+        if ex.in_process:
+            pytest.skip("requires a multiprocessing pool")
+        stuck = threading.Thread(
+            target=ex.run, args=(X, Y, SCHEME), daemon=True)
+        stuck.start()
+        time.sleep(1.0)  # let the poisoned shard wedge its worker
+        assert self._finishes(ex.close)
+        assert ex.in_process
+
+    def test_rebuild_kills_sigterm_ignoring_worker(self, rng):
+        X, Y = _rect_batch(rng, pairs=24, m=16, n=16)
+        X[0, 0] = POISON
+        with ShardExecutor(workers=2, engine=_stubborn_engine,
+                           timeout_s=1.0) as ex:
+            if ex.in_process:
+                pytest.skip("requires a multiprocessing pool")
+            out = {}
+
+            def run():
+                out["result"] = ex.run(X, Y, SCHEME, errors="return")
+
+            assert self._finishes(run)
+            assert ex.rebuilds == 1
+            assert 0 in out["result"].failed_pairs
 
 
 class TestDegradation:

@@ -1,7 +1,7 @@
 """Differential fuzzing: every Smith-Waterman engine on shared inputs.
 
-The library now has seven ways to compute a maximum local-alignment
-score; this cross-validation chain is the strongest single correctness
+The library has six ways to compute a maximum local-alignment score;
+this cross-validation chain is the strongest single correctness
 statement the suite makes, so it gets its own module.  For each random
 workload, all of
 
@@ -9,10 +9,8 @@ workload, all of
 2. NumPy wavefront DP (per pair),
 3. NumPy wordwise batch engine,
 4. BPBC row-major engine,
-5. BPBC wavefront engine (generic circuit),
-6. BPBC wavefront engine (constant-folded netlist),
-7. the simulated GPU pipeline (shared-memory kernel), and
-8. the oblivious-IR SW cell driven through the gold recurrence
+5. BPBC wavefront engine (default compiled cell), and
+6. the simulated GPU pipeline (shared-memory kernel)
 
 must agree on every pair.
 """
@@ -24,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.encoding import encode_batch_bit_transposed
-from repro.core.oblivious import sw_cell_program
 from repro.core.sw_bpbc import bpbc_sw_sequential, bpbc_sw_wavefront
 from repro.kernels.pipeline import run_gpu_pipeline
 from repro.swa.numpy_batch import sw_batch_max_scores
@@ -52,33 +49,10 @@ def _all_engine_scores(X, Y, scheme, word_bits=32):
     results["bpbc_wavefront"] = bpbc_sw_wavefront(
         XH, XL, YH, YL, scheme, word_bits
     ).max_scores[:P]
-    results["bpbc_folded"] = bpbc_sw_wavefront(
-        XH, XL, YH, YL, scheme, word_bits, cell="folded"
-    ).max_scores[:P]
     results["gpu_pipeline"] = run_gpu_pipeline(
         X, Y, scheme, word_bits=word_bits
     )[0]
     return results
-
-
-def _ir_score(x, y, scheme):
-    """Drive the oblivious-IR SW cell through the DP loop."""
-    m, n = len(x), len(y)
-    s = scheme.score_bits(m, n)
-    prog = sw_cell_program(s, scheme.gap_penalty, scheme.match_score,
-                           scheme.mismatch_penalty)
-    d = np.zeros((m + 1, n + 1), dtype=np.int64)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            out = prog.run_wordwise({
-                "up": np.array([d[i - 1, j]]),
-                "left": np.array([d[i, j - 1]]),
-                "diag": np.array([d[i - 1, j - 1]]),
-                "x": np.array([x[i - 1]]),
-                "y": np.array([y[j - 1]]),
-            })
-            d[i, j] = out["d"][0]
-    return int(d.max())
 
 
 class TestDifferential:
@@ -90,14 +64,6 @@ class TestDifferential:
         gold = results.pop("gold")
         for name, scores in results.items():
             np.testing.assert_array_equal(scores, gold, err_msg=name)
-
-    def test_ir_cell_agrees(self, rng):
-        scheme = ScoringScheme(2, 1, 1)
-        x = rng.integers(0, 4, 5)
-        y = rng.integers(0, 4, 8)
-        assert _ir_score(x, y, scheme) == int(
-            sw_matrix(x, y, scheme).max()
-        )
 
     @settings(max_examples=6, deadline=None)
     @given(

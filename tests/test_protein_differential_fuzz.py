@@ -224,14 +224,6 @@ def test_compiled_cell_agrees(fuzz_groups):
             _explain("bpbc[compiled]", g, scores)
 
 
-def test_folded_netlist_agrees(fuzz_groups):
-    """The netlist interpreter, on a cadence (it is the slow path)."""
-    for g in fuzz_groups[::5]:
-        scores = _engine_scores(g, "folded")
-        assert np.array_equal(scores, g.gold), \
-            _explain("bpbc[folded]", g, scores)
-
-
 def test_c_backend_agrees(fuzz_groups):
     """The native step backend, where a C toolchain exists."""
     from repro.jit import cc_available
