@@ -27,10 +27,6 @@ Usage::
 separate ``quick`` section, so CI quick runs compare against the
 committed quick baseline, never against full-scale numbers.
 
-``--write`` additionally records a ``transport`` evidence section that
-``--check`` never gates (timings do not transfer across machines): a
-ladder showing shm-vs-pickle shard transport cost as the payload grows.
-
 ``--rounds N`` measures the whole section N times and keeps each
 entry's best (lowest) ``rel``.  Shared CI runners are noisy neighbours:
 one unlucky round can inflate a sub-second measurement well past any
@@ -204,77 +200,6 @@ def run_section_best(mode: str, rounds: int, verbose: bool = True) -> dict:
     return best
 
 
-def _null_engine(X, Y, scheme, word_bits):
-    """Transport-cost probe: ships bytes, computes nothing."""
-    return np.zeros(len(X), dtype=np.int64)
-
-
-#: Transport evidence ladder: pair counts of 2x512-nt payloads.  Each
-#: rung quadruples the bytes crossing the executor/worker boundary.
-TRANSPORT_PAIRS = (16, 64, 256, 1024)
-TRANSPORT_LENGTH = 512
-TRANSPORT_REPEATS = 5
-TRANSPORT_WORKERS = 4
-
-
-def run_transport_section(verbose: bool = True) -> dict | None:
-    """Shm-vs-pickle transport cost ladder (snapshot evidence).
-
-    A null engine isolates transport: every millisecond here is
-    packing, shipping, and unpacking bytes.  Recorded raw — absolute
-    numbers and growth ratios are evidence for the zero-copy claim,
-    not gated entries (``check`` never compares this section; shared
-    runners make cross-machine transport ratios meaningless).
-    """
-    from repro.shard import ShardExecutor, shm_available
-
-    if not shm_available():
-        if verbose:
-            print("[transport] shared memory unavailable — skipped")
-        return None
-    rng = np.random.default_rng(37)
-    ladder = [
-        (rng.integers(0, 4, size=(p, TRANSPORT_LENGTH), dtype=np.uint8),
-         rng.integers(0, 4, size=(p, TRANSPORT_LENGTH), dtype=np.uint8))
-        for p in TRANSPORT_PAIRS
-    ]
-    times: dict[str, list[float]] = {}
-    for transport in ("pickle", "shm"):
-        with ShardExecutor(workers=TRANSPORT_WORKERS,
-                           engine=_null_engine,
-                           transport=transport) as ex:
-            if ex.in_process:
-                if verbose:
-                    print("[transport] no multiprocessing pool — "
-                          "skipped")
-                return None
-            ex.run(*ladder[0], SCHEME)  # warm the pool + arena
-            times[transport] = [
-                round(_best_of(lambda X=X, Y=Y: ex.run(X, Y, SCHEME),
-                               TRANSPORT_REPEATS), 3)
-                for X, Y in ladder
-            ]
-    growth = {t: round(ts[-1] / ts[0], 3) for t, ts in times.items()}
-    top = round(times["pickle"][-1] / times["shm"][-1], 3)
-    if verbose:
-        factor = TRANSPORT_PAIRS[-1] // TRANSPORT_PAIRS[0]
-        print(f"[transport] null engine, {TRANSPORT_WORKERS} workers, "
-              f"payload x{factor} ladder:")
-        for t in ("pickle", "shm"):
-            ms = ", ".join(f"{v:7.2f}" for v in times[t])
-            print(f"  {t:<7} [{ms}] ms  -> x{growth[t]:.1f} growth")
-        print(f"  pickle/shm at top rung: {top:.2f}x")
-    return {
-        "workload": {"pairs": list(TRANSPORT_PAIRS),
-                     "length": TRANSPORT_LENGTH,
-                     "workers": TRANSPORT_WORKERS,
-                     "repeats": TRANSPORT_REPEATS, "seed": 37},
-        "ms": times,
-        "growth": growth,
-        "pickle_over_shm_at_top": top,
-    }
-
-
 def snapshot_paths() -> list[Path]:
     """Committed snapshots at the repo root, oldest first."""
     def index(p: Path) -> int:
@@ -361,14 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     result: dict = {"schema": 1}
     if args.write is not None:
         # Snapshots always carry both sections so later full *and*
-        # quick runs have a baseline to compare against — plus the
-        # transport evidence section (never gated: check() only
-        # compares per-mode entries).
+        # quick runs have a baseline to compare against.
         result["full"] = run_section_best("full", args.rounds)
         result["quick"] = run_section_best("quick", args.rounds)
-        transport = run_transport_section()
-        if transport is not None:
-            result["transport"] = transport
     else:
         result[mode] = run_section_best(mode, args.rounds)
 

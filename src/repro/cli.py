@@ -126,11 +126,6 @@ def _add_scoring_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="shard the bulk phase across this many "
                         "processes (default 1 = in-process)")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "pickle"),
-                   help="shard transport (needs --workers > 1): shm = "
-                        "zero-copy shared memory, pickle = classic "
-                        "pipe; auto sizes per run (default)")
     p.add_argument("--max-retries", type=int, default=1,
                    help="fallback-chain rescore retries when a shard "
                         "fails (default 1; needs --workers > 1)")
@@ -199,8 +194,7 @@ def _cmd_score(args) -> int:
             from .shard import ShardExecutor
 
             executor = ShardExecutor(workers=workers,
-                                     word_bits=args.word_bits,
-                                     transport=args.transport)
+                                     word_bits=args.word_bits)
         try:
             for qi, si in _iter_pair_chunks(len(queries), len(subjects),
                                             args.chunk_size):
@@ -234,8 +228,7 @@ def _cmd_score(args) -> int:
                                  chunk_size=args.chunk_size,
                                  workers=workers,
                                  recover=args.recover,
-                                 max_retries=args.max_retries,
-                                 transport=args.transport)
+                                 max_retries=args.max_retries)
         for qr, sr, sc in zip(queries, subjects, scores):
             out.write(f"{qr.id}\t{sr.id}\t{int(sc)}\n")
     return 0
@@ -257,8 +250,7 @@ def _cmd_screen(args) -> int:
                                   word_bits=args.word_bits,
                                   workers=workers,
                                   recover=args.recover,
-                                  max_retries=args.max_retries,
-                                  transport=args.transport)
+                                  max_retries=args.max_retries)
             base = int(qi[0]) * n_subjects + int(si[0])
             hits.extend((base + h.pair_index, h) for h in result.hits)
     else:
@@ -269,8 +261,7 @@ def _cmd_screen(args) -> int:
                               chunk_size=args.chunk_size,
                               workers=workers,
                               recover=args.recover,
-                              max_retries=args.max_retries,
-                              transport=args.transport)
+                              max_retries=args.max_retries)
         total = len(queries)
         hits = [(h.pair_index, h) for h in result.hits]
         n_subjects = 1
@@ -333,7 +324,6 @@ def _cmd_serve(args) -> int:
         resilience=args.resilient,
         max_retries=args.max_retries,
         slo_ms=args.slo_ms,
-        transport=args.transport,
     )
     with service:
         server = AlignmentServer(service, host=args.host,
@@ -713,10 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="latency SLO in ms: enables the adaptive "
                         "scheduler (admission control, batch shaping, "
                         "shard-width hints; default off)")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "pickle"),
-                   help="shard transport for --shard-workers > 1 "
-                        "(shm = zero-copy shared memory; default auto)")
     p.add_argument("--match", type=int, default=2,
                    help="default-scheme match score (default 2)")
     p.add_argument("--mismatch", type=int, default=1,

@@ -69,8 +69,7 @@ def bulk_max_scores(X: np.ndarray, Y: np.ndarray,
                     workers: int | None = None,
                     recover: bool = True,
                     timeout_s: float | None = None,
-                    max_retries: int = 1,
-                    transport: str = "auto") -> np.ndarray:
+                    max_retries: int = 1) -> np.ndarray:
     """Max SW score per pair via the BPBC wavefront engine.
 
     ``X`` is ``(P, m)`` and ``Y`` ``(P, n)`` wordwise code matrices,
@@ -91,10 +90,6 @@ def bulk_max_scores(X: np.ndarray, Y: np.ndarray,
     missing pair indices.  ``recover=False`` restores the strict
     behaviour: the first failure raises
     :class:`repro.shard.ShardError`.
-
-    ``transport`` picks the shard transport (``"auto"``/``"shm"``/
-    ``"pickle"``, see :class:`repro.shard.ShardExecutor`); results are
-    bit-identical on every transport.
     """
     X = np.asarray(X)
     Y = np.asarray(Y)
@@ -117,14 +112,12 @@ def bulk_max_scores(X: np.ndarray, Y: np.ndarray,
             return shard_scores_with_recovery(
                 X, Y, scheme, word_bits=word_bits, workers=workers,
                 max_shard_pairs=chunk_size, timeout_s=timeout_s,
-                retry=RetryPolicy(max_retries=max_retries),
-                transport=transport)
+                retry=RetryPolicy(max_retries=max_retries))
         from ..shard import shard_bulk_max_scores
 
         return shard_bulk_max_scores(X, Y, scheme, word_bits=word_bits,
                                      workers=workers,
-                                     max_shard_pairs=chunk_size,
-                                     transport=transport)
+                                     max_shard_pairs=chunk_size)
     if chunk_size is None or P <= chunk_size:
         return bpbc_max_scores(X, Y, scheme, word_bits)
     scores = np.empty(P, dtype=np.int64)
@@ -206,8 +199,7 @@ def screen_pairs(X: np.ndarray, Y: np.ndarray, threshold: int,
                  workers: int | None = None,
                  recover: bool = True,
                  timeout_s: float | None = None,
-                 max_retries: int = 1,
-                 transport: str = "auto") -> ScreenResult:
+                 max_retries: int = 1) -> ScreenResult:
     """Bulk-score all pairs; fully align those scoring above ``threshold``.
 
     The bulk phase never computes tracebacks — exactly the paper's
@@ -225,8 +217,7 @@ def screen_pairs(X: np.ndarray, Y: np.ndarray, threshold: int,
     scores = bulk_max_scores(X, Y, scheme, word_bits,
                              chunk_size=chunk_size, workers=workers,
                              recover=recover, timeout_s=timeout_s,
-                             max_retries=max_retries,
-                             transport=transport)
+                             max_retries=max_retries)
     hits: list[ScreenHit] = []
     if align_survivors:
         protein = callable(getattr(scheme, "weights_key", None))

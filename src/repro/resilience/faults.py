@@ -59,14 +59,6 @@ SITES: dict[str, str] = {
     "shard.worker.error":
         "shard worker raises InjectedFault instead of scoring (the "
         "clean per-shard exception path)",
-    "shard.shm.attach":
-        "shard worker fails to map the executor's shared-memory "
-        "segment; the executor retries the shard over the pickle "
-        "transport, bit-identically",
-    "shard.shm.unlink":
-        "unlinking a retired shared-memory segment fails; the arena "
-        "leaks the segment until process exit and counts it in "
-        "ShmArena.unlink_failures — scores are unaffected",
     "serve.sched.mispredict":
         "the adaptive scheduler's cost model inflates its latency "
         "estimate (stale-rate misprediction); admission turns "

@@ -91,8 +91,7 @@ def shard_scores_with_recovery(X, Y, scheme: ScoringScheme | None = None,
                                timeout_s: float | None = None,
                                recover: bool = True,
                                chain: EngineFallbackChain | None = None,
-                               retry: RetryPolicy | None = None,
-                               transport: str = "auto") -> np.ndarray:
+                               retry: RetryPolicy | None = None) -> np.ndarray:
     """Sharded bulk scoring that survives worker failure.
 
     The resilient counterpart of
@@ -106,8 +105,7 @@ def shard_scores_with_recovery(X, Y, scheme: ScoringScheme | None = None,
 
     with ShardExecutor(workers=workers, word_bits=word_bits,
                        timeout_s=timeout_s,
-                       max_shard_pairs=max_shard_pairs,
-                       transport=transport) as executor:
+                       max_shard_pairs=max_shard_pairs) as executor:
         result = executor.run(X, Y, scheme,
                               errors="return" if recover else "raise")
     if recover and result.errors:

@@ -62,14 +62,12 @@ class ShardedEngine:
     def __init__(self, engine="bpbc", workers: int | None = None,
                  word_bits: int = 64,
                  stats: ServiceStats | None = None,
-                 timeout_s: float | None = None,
-                 transport: str = "auto") -> None:
+                 timeout_s: float | None = None) -> None:
         from ..shard import ShardExecutor
 
         self._executor = ShardExecutor(workers=workers, engine=engine,
                                        word_bits=word_bits,
-                                       timeout_s=timeout_s,
-                                       transport=transport)
+                                       timeout_s=timeout_s)
         self.workers = self._executor.workers
         self.stats = stats
 
@@ -137,7 +135,6 @@ class EnginePool:
                  shard_workers: int | None = None,
                  fallback=None,
                  retry: RetryPolicy | None = None,
-                 transport: str = "auto",
                  observer=None) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -164,7 +161,7 @@ class EnginePool:
                 )
             self._owned_sharded = ShardedEngine(
                 engine, workers=shard_workers, word_bits=word_bits,
-                stats=stats, transport=transport)
+                stats=stats)
             engine = self._owned_sharded
         self._engine = resolve(engine)
         self._observer = observer

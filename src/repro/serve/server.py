@@ -18,7 +18,10 @@ DNA requests with ``gap_open`` / ``gap_extend`` get affine gaps.
 Responses echo ``id`` and carry ``ok``; an align
 response adds ``score`` / ``passed`` / ``cached`` / ``wait_ms``, an
 error response adds ``error`` (message) and ``kind`` (a stable string
-from :func:`repro.serve.errors.error_kind`).
+from :func:`repro.serve.errors.error_kind`).  A malformed frame (bad
+or too deeply nested JSON, a missing or non-string sequence, a
+non-numeric field, an invalid scheme or letter) is answered with kind
+``bad_request`` and the connection keeps serving.
 
 Align requests may also carry ``req``, a client-generated request ID.
 The server keeps a bounded :class:`IdempotencyIndex` of IDs it has
@@ -37,6 +40,7 @@ one pair at a time.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -47,7 +51,7 @@ from queue import Queue
 from ..resilience.faults import should_inject
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from .errors import error_kind
-from .service import AlignmentService
+from .service import AlignmentService, _as_codes
 
 __all__ = ["AlignmentServer", "IdempotencyIndex", "DEFAULT_PORT"]
 
@@ -62,6 +66,10 @@ _RESULT_TIMEOUT_S = 60.0
 
 _SCHEME_KEYS = ("match", "mismatch", "gap", "alphabet", "matrix",
                 "gap_open", "gap_extend")
+#: Align fields that must be JSON integers / finite numbers when set.
+_INT_KEYS = ("match", "mismatch", "gap", "gap_open", "gap_extend",
+             "priority")
+_NUMBER_KEYS = ("threshold", "timeout_ms")
 
 
 def _scheme_from(obj: dict, default=None):
@@ -112,6 +120,32 @@ def _scheme_from(obj: dict, default=None):
             obj.get("mismatch", DEFAULT_SCHEME.mismatch_penalty)),
         gap_penalty=int(obj.get("gap", DEFAULT_SCHEME.gap_penalty)),
     )
+
+
+def _parse_align(obj: dict, default=None):
+    """``(query codes, subject codes, scheme)`` of an align request.
+
+    Raises on the first malformed field: a missing or non-string
+    sequence, a non-numeric scoring/control field, an invalid scheme,
+    or a letter outside the scheme's alphabet.
+    """
+    for key in ("query", "subject"):
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+        if not isinstance(obj[key], str) or not obj[key]:
+            raise ValueError(f"{key!r} must be a non-empty string")
+    for key in _INT_KEYS + _NUMBER_KEYS:
+        if key not in obj:
+            continue
+        value = obj[key]
+        kinds = int if key in _INT_KEYS else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, kinds)
+                or not math.isfinite(value)):
+            what = "an integer" if key in _INT_KEYS else "a number"
+            raise ValueError(f"{key!r} must be {what}, got {value!r}")
+    scheme = _scheme_from(obj, default)
+    return (_as_codes(obj["query"], scheme),
+            _as_codes(obj["subject"], scheme), scheme)
 
 
 class IdempotencyIndex:
@@ -209,7 +243,7 @@ class _Handler(socketserver.StreamRequestHandler):
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("request must be a JSON object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             return {"ok": False, "error": f"bad JSON: {exc}",
                     "kind": "bad_request"}
         rid = obj.get("id")
@@ -222,6 +256,14 @@ class _Handler(socketserver.StreamRequestHandler):
         if op != "align":
             return {"ok": False, "id": rid,
                     "error": f"unknown op {op!r}", "kind": "bad_request"}
+        try:
+            query, subject, scheme = _parse_align(
+                obj, getattr(self.server, "default_scheme", None))
+        except Exception as exc:  # noqa: BLE001 - malformed request
+            # KeyError (unknown matrix) wraps its message in quotes.
+            msg = exc.args[0] if isinstance(exc, KeyError) else exc
+            return {"ok": False, "id": rid, "error": str(msg),
+                    "kind": "bad_request"}
         req = obj.get("req")
         req = None if req is None else str(req)
         idem: IdempotencyIndex | None = getattr(self.server,
@@ -242,17 +284,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 return (rid, None, payload, True)
         try:
             future = service.submit(
-                obj["query"], obj["subject"],
-                scheme=_scheme_from(obj, getattr(self.server,
-                                                 "default_scheme", None)),
+                query, subject, scheme=scheme,
                 threshold=obj.get("threshold"),
                 timeout_ms=obj.get("timeout_ms"),
-                priority=int(obj.get("priority", 0)),
+                priority=obj.get("priority", 0),
             )
-        except KeyError as exc:
-            return {"ok": False, "id": rid,
-                    "error": f"missing field {exc.args[0]!r}",
-                    "kind": "bad_request"}
         except Exception as exc:  # noqa: BLE001 - becomes a wire error
             return {"ok": False, "id": rid, "error": str(exc),
                     "kind": error_kind(exc)}

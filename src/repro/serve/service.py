@@ -117,10 +117,6 @@ class AlignmentService:
         windows shrink to fit the budget, and batches carry a
         shard-width dispatch hint.  ``None`` (default) keeps the
         static packer.
-    transport:
-        Shard transport for ``shard_workers > 1``: ``"auto"``
-        (default), ``"shm"`` or ``"pickle"`` — see
-        :class:`repro.shard.ShardExecutor`.
     """
 
     def __init__(self, engine="bpbc", workers: int = 2,
@@ -132,8 +128,7 @@ class AlignmentService:
                  shard_workers: int | None = None,
                  resilience=False,
                  max_retries: int = 1,
-                 slo_ms: float | None = None,
-                 transport: str = "auto") -> None:
+                 slo_ms: float | None = None) -> None:
         if max_wait_ms < 0:
             raise ValueError(
                 f"max_wait_ms must be >= 0, got {max_wait_ms}"
@@ -175,7 +170,6 @@ class AlignmentService:
                                shard_workers=shard_workers,
                                fallback=fallback,
                                retry=RetryPolicy(max_retries=max_retries),
-                               transport=transport,
                                observer=self._observe_batch)
         #: The attached fallback chain (``None`` without resilience).
         self.fallback_chain = self.pool.fallback_chain

@@ -9,15 +9,12 @@ partitions fanned out to parallel workers:
 * :mod:`~repro.shard.partition` — greedy LPT partitioning on
   ``len(x) * len(y)`` pair costs.
 * :mod:`~repro.shard.worker` — spawn-safe worker protocol: packed
-  ``uint8`` payloads, per-process engine construction, length-binned
-  sentinel padding for ragged shards.
-* :mod:`~repro.shard.shm` — zero-copy shared-memory transport:
-  :class:`ShmArena` bump-allocates payloads and reply slots in
-  ``multiprocessing.shared_memory`` segments so only tiny descriptors
-  cross the pool pipe (``transport="shm"``/``"auto"``).
+  ``uint8`` payloads pickled over the pool pipe (the only transport),
+  per-process engine construction, length-binned sentinel padding for
+  ragged shards.
 * :mod:`~repro.shard.executor` — :class:`ShardExecutor` (process
-  pool, per-shard timing, crash/timeout containment, transport
-  selection) and the one-shot :func:`shard_bulk_max_scores`.
+  pool, per-shard timing, crash/timeout containment) and the one-shot
+  :func:`shard_bulk_max_scores`.
 * :mod:`~repro.shard.errors` — :class:`ShardError`, which carries the
   failed shard's pair indices for retry/skip.
 
@@ -30,11 +27,9 @@ and ``--workers`` on the CLI.
 """
 
 from .errors import ShardError
-from .executor import (TRANSPORTS, ShardExecutor, ShardRunResult,
-                       ShardTiming, default_workers,
-                       shard_bulk_max_scores)
+from .executor import (ShardExecutor, ShardRunResult, ShardTiming,
+                       default_workers, shard_bulk_max_scores)
 from .partition import pair_costs, partition_lpt, shard_loads
-from .shm import MIN_SHM_BYTES, ShmArena, ShmShardRef, shm_available
 from .worker import ShardPayload
 
 __all__ = [
@@ -43,11 +38,6 @@ __all__ = [
     "ShardRunResult",
     "ShardTiming",
     "ShardPayload",
-    "TRANSPORTS",
-    "MIN_SHM_BYTES",
-    "ShmArena",
-    "ShmShardRef",
-    "shm_available",
     "default_workers",
     "shard_bulk_max_scores",
     "pair_costs",

@@ -42,16 +42,11 @@ from ..resilience import faults as _faults
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from .errors import ShardError
 from .partition import pair_costs, partition_lpt
-from .shm import MIN_SHM_BYTES, ShmArena, shm_available
 from .worker import (as_contiguous_u8, init_worker, pack_shard, run_shard,
-                     run_shard_shm, score_shard)
+                     score_shard)
 
 __all__ = ["ShardTiming", "ShardRunResult", "ShardExecutor",
-           "shard_bulk_max_scores", "default_workers", "TRANSPORTS"]
-
-#: Recognised shard transports: ``auto`` picks shm for payloads past
-#: the size threshold and pickle otherwise / when shm is unavailable.
-TRANSPORTS = ("auto", "shm", "pickle")
+           "shard_bulk_max_scores", "default_workers"]
 
 
 def default_workers() -> int:
@@ -170,6 +165,11 @@ def _as_rows(batch) -> list[np.ndarray]:
 class ShardExecutor:
     """A reusable sharded scoring backend over a process pool.
 
+    Shards cross the pool pipe as pickled
+    :class:`~repro.shard.worker.ShardPayload` buffers (one packed
+    ``uint8`` buffer per side) and come back as ``int64`` score bytes:
+    the paper's one copy in, one copy out.
+
     Parameters
     ----------
     workers:
@@ -195,25 +195,13 @@ class ShardExecutor:
         Force a ``multiprocessing`` start method; default tries
         ``fork`` then ``spawn``/``forkserver``, degrading to
         in-process execution when none is usable.
-    transport:
-        ``"auto"`` (default) fans shards out through the zero-copy
-        shared-memory arena (:mod:`repro.shard.shm`) once a run's
-        payload reaches ``shm_min_bytes``, and over the classic pickle
-        pipe otherwise; ``"shm"`` / ``"pickle"`` force one transport.
-        Either way the transport is invisible to results: an shm shard
-        that fails to attach is retried over pickle, bit-identically.
-    shm_min_bytes:
-        ``auto`` threshold — runs smaller than this pickle (a tiny
-        payload's pipe cost is below the segment bookkeeping).
     """
 
     def __init__(self, workers: int | None = None, engine="bpbc",
                  word_bits: int = 64, timeout_s: float | None = None,
                  max_shard_pairs: int | None = None,
                  bin_granularity: int = 16,
-                 start_method: str | None = None,
-                 transport: str = "auto",
-                 shm_min_bytes: int = MIN_SHM_BYTES) -> None:
+                 start_method: str | None = None) -> None:
         workers = default_workers() if workers is None else workers
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -229,20 +217,10 @@ class ShardExecutor:
             raise ValueError(
                 f"bin_granularity must be positive, got {bin_granularity}"
             )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
-        if shm_min_bytes < 0:
-            raise ValueError(
-                f"shm_min_bytes must be >= 0, got {shm_min_bytes}"
-            )
         self.word_bits = word_bits
         self.timeout_s = timeout_s
         self.max_shard_pairs = max_shard_pairs
         self.bin_granularity = bin_granularity
-        self.transport = transport
-        self.shm_min_bytes = shm_min_bytes
         if isinstance(engine, str) and not (engine in ENGINES
                                             and ENGINES[engine].shardable):
             shardable = [n for n, e in ENGINES.items() if e.shardable]
@@ -255,11 +233,10 @@ class ShardExecutor:
         self._requested_workers = workers
         self._ctx = _make_context(start_method) if workers > 1 else None
         self.rebuilds = 0
-        self._arena: ShmArena | None = None
-        #: Runs fanned out over each transport, and shards that failed
-        #: on shm and were recovered over the pickle pipe.
-        self.shm_runs = 0
+        #: Pool runs.  perfbench reads these three; the shm_* pair stays
+        #: 0 and goes when perfbench drops its ``shard.shm_*`` metrics.
         self.pickle_runs = 0
+        self.shm_runs = 0
         self.shm_fallbacks = 0
         self._pool = self._spawn_pool()
         self.workers = workers if self._pool is not None else 1
@@ -294,11 +271,6 @@ class ShardExecutor:
         pool, self._pool = self._pool, None
         if pool is not None:
             _terminate_pool(pool)
-        if self._arena is not None:
-            # A wedged worker may wake up later and write into its old
-            # reply slots; retiring the generation makes that write
-            # land in a dead mapping instead of the next run's data.
-            self._arena.retire()
         self._pool = self._spawn_pool()
         self.rebuilds += 1
         self.workers = (self._requested_workers
@@ -316,9 +288,6 @@ class ShardExecutor:
         pool, self._pool = self._pool, None
         if pool is not None:
             _terminate_pool(pool)
-        arena, self._arena = self._arena, None
-        if arena is not None:
-            arena.close()
         self.workers = 1
 
     def __enter__(self) -> "ShardExecutor":
@@ -334,15 +303,6 @@ class ShardExecutor:
             pass
 
     # -- execution ------------------------------------------------------
-    def _pick_transport(self, payload_bytes: int) -> str:
-        """Transport for one pool run: forced, or sized for ``auto``."""
-        if self.transport == "pickle" or not shm_available():
-            return "pickle"
-        if self.transport == "shm":
-            return "shm"
-        return ("shm" if payload_bytes >= self.shm_min_bytes
-                else "pickle")
-
     def run(self, X, Y, scheme: ScoringScheme | None = None,
             errors: str = "raise",
             width: int | None = None) -> ShardRunResult:
@@ -408,33 +368,14 @@ class ShardExecutor:
                         f"shard {sid} failed in-process: "
                         f"{exc!r}", sid, idx, cause=exc))
         else:
-            payload_bytes = (sum(len(r) for r in xs)
-                             + sum(len(r) for r in ys))
-            refs = None
-            if self._pick_transport(payload_bytes) == "shm":
-                try:
-                    if self._arena is None:
-                        self._arena = ShmArena()
-                    refs = self._arena.begin_run(
-                        [(sid, shard_xs[sid], shard_ys[sid])
-                         for sid in range(len(plan))])
-                except Exception:  # noqa: BLE001 - arena is optional
-                    refs = None  # whole run degrades to pickle
-            if refs is not None:
-                self.shm_runs += 1
-                handles = [
-                    self._pool.apply_async(run_shard_shm, (ref, scheme))
-                    for ref in refs
-                ]
-            else:
-                self.pickle_runs += 1
-                handles = [
-                    self._pool.apply_async(
-                        run_shard,
-                        (pack_shard(sid, shard_xs[sid], shard_ys[sid]),
-                         scheme))
-                    for sid in range(len(plan))
-                ]
+            self.pickle_runs += 1
+            handles = [
+                self._pool.apply_async(
+                    run_shard,
+                    (pack_shard(sid, shard_xs[sid], shard_ys[sid]),
+                     scheme))
+                for sid in range(len(plan))
+            ]
             deadline = (None if self.timeout_s is None
                         else time.monotonic() + self.timeout_s)
 
@@ -445,17 +386,9 @@ class ShardExecutor:
             timed_out = False
             for sid, (idx, handle) in enumerate(zip(plan, handles)):
                 try:
-                    if refs is not None:
-                        rsid, _pairs, elapsed = handle.get(remaining())
-                        settle(rsid, self._arena.scores(refs[rsid]),
-                               elapsed)
-                    else:
-                        rsid, score_bytes, elapsed = \
-                            handle.get(remaining())
-                        settle(rsid, np.frombuffer(score_bytes,
-                                                   dtype=np.int64),
-                               elapsed)
-                    continue
+                    rsid, score_bytes, elapsed = handle.get(remaining())
+                    settle(rsid, np.frombuffer(score_bytes,
+                                               dtype=np.int64), elapsed)
                 except multiprocessing.TimeoutError:
                     timed_out = True
                     failures.append(ShardError(
@@ -464,37 +397,10 @@ class ShardExecutor:
                         "stuck, or overloaded); pairs "
                         f"{idx[0]}..{idx[-1]} unscored",
                         sid, idx))
-                    continue
                 except Exception as exc:  # noqa: BLE001 - per-shard fault
-                    if refs is None:
-                        failures.append(ShardError(
-                            f"shard {sid} failed in worker: "
-                            f"{exc!r}", sid, idx, cause=exc))
-                        continue
-                    shm_exc = exc
-                # An shm-transported shard failed (attach fault, dead
-                # segment, or an engine error): retry it once over the
-                # pickle pipe — the transports are bit-identical, so a
-                # transport fault must never cost the caller scores.
-                try:
-                    payload = pack_shard(sid, shard_xs[sid],
-                                         shard_ys[sid])
-                    rsid, score_bytes, elapsed = self._pool.apply_async(
-                        run_shard, (payload, scheme)).get(remaining())
-                    settle(rsid, np.frombuffer(score_bytes,
-                                               dtype=np.int64), elapsed)
-                    self.shm_fallbacks += 1
-                except multiprocessing.TimeoutError:
-                    timed_out = True
                     failures.append(ShardError(
-                        f"shard {sid} missed the {self.timeout_s}s "
-                        "deadline during its pickle retry; pairs "
-                        f"{idx[0]}..{idx[-1]} unscored", sid, idx))
-                except Exception as rexc:  # noqa: BLE001 - per-shard
-                    failures.append(ShardError(
-                        f"shard {sid} failed on the shm transport "
-                        f"({shm_exc!r}) and again on the pickle retry: "
-                        f"{rexc!r}", sid, idx, cause=rexc))
+                        f"shard {sid} failed in worker: "
+                        f"{exc!r}", sid, idx, cause=exc))
             if timed_out:
                 # A missed deadline means a dead or wedged worker; the
                 # abandoned task (and any hung worker) would degrade
@@ -513,8 +419,7 @@ def shard_bulk_max_scores(X, Y, scheme: ScoringScheme | None = None,
                           engine="bpbc",
                           timeout_s: float | None = None,
                           max_shard_pairs: int | None = None,
-                          bin_granularity: int = 16,
-                          transport: str = "auto") -> np.ndarray:
+                          bin_granularity: int = 16) -> np.ndarray:
     """One-shot sharded scoring: build a pool, score, tear down.
 
     The convenience form of :class:`ShardExecutor` for batch callers
@@ -526,6 +431,5 @@ def shard_bulk_max_scores(X, Y, scheme: ScoringScheme | None = None,
     with ShardExecutor(workers=workers, engine=engine,
                        word_bits=word_bits, timeout_s=timeout_s,
                        max_shard_pairs=max_shard_pairs,
-                       bin_granularity=bin_granularity,
-                       transport=transport) as executor:
+                       bin_granularity=bin_granularity) as executor:
         return executor.run(X, Y, scheme).scores

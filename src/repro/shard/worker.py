@@ -32,8 +32,7 @@ from ..resilience.faults import FaultPlan, fault_point
 from ..swa.scoring import ScoringScheme
 
 __all__ = ["ShardPayload", "as_contiguous_u8", "pack_shard", "unpack_side",
-           "score_codes", "score_shard", "init_worker", "run_shard",
-           "run_shard_shm"]
+           "score_codes", "score_shard", "init_worker", "run_shard"]
 
 
 def as_contiguous_u8(arr) -> np.ndarray:
@@ -206,31 +205,3 @@ def run_shard(payload: ShardPayload,
         payload, scheme, _ENGINE, _WORD_BITS, _BIN_GRANULARITY)
     return shard_id, scores.tobytes(), elapsed
 
-
-def run_shard_shm(ref, scheme: ScoringScheme) -> tuple[int, int, float]:
-    """Pool task: score one shard addressed by a shared-memory ref.
-
-    The zero-copy twin of :func:`run_shard`: sequences are read as
-    ``np.frombuffer`` views straight out of the executor's shared
-    segment and scores are written back into its reply region, so the
-    only pickled traffic is the :class:`~repro.shard.shm.ShmShardRef`
-    in and this ``(shard_id, pairs, elapsed_s)`` tuple out.  The same
-    worker fault sites apply on this path — a chaos plan cannot be
-    dodged by switching transports.
-    """
-    from .shm import attach_segment, read_side, write_scores
-
-    fault_point("shard.worker.crash", action=_injected_crash)
-    fault_point("shard.worker.hang", action=_injected_hang)
-    fault_point("shard.worker.slow", action=_injected_slow)
-    fault_point("shard.worker.error")
-    t0 = time.perf_counter()
-    buf = attach_segment(ref.segment).buf
-    xs = read_side(buf, ref.xlens_off, ref.pairs, ref.xbuf_off,
-                   ref.xbuf_bytes)
-    ys = read_side(buf, ref.ylens_off, ref.pairs, ref.ybuf_off,
-                   ref.ybuf_bytes)
-    scores = score_codes(_ENGINE, xs, ys, scheme, _WORD_BITS,
-                         _BIN_GRANULARITY)
-    write_scores(buf, ref, scores)
-    return ref.shard_id, ref.pairs, time.perf_counter() - t0

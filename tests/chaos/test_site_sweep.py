@@ -71,58 +71,6 @@ def _scenario_worker_slow(rng, seed):
     _shard_recovers(rng, "shard.worker.slow", timeout_s=30.0)
 
 
-# -- shard.shm.* -------------------------------------------------------
-
-def _shm_executor(rng):
-    from repro.shard import shm_available
-    from repro.shard.executor import ShardExecutor
-
-    if not shm_available():
-        pytest.skip("shared memory unavailable on this machine")
-    # The plan must already be active here: workers learn their fault
-    # plan through pool initargs, so callers construct the executor
-    # inside the FaultPlan context.
-    ex = ShardExecutor(workers=2, transport="shm", timeout_s=30.0)
-    if ex.in_process:
-        ex.close()
-        pytest.skip("requires a multiprocessing pool")
-    return ex
-
-
-def _scenario_shm_attach(rng, seed):
-    X, Y = _batch(rng, pairs=8)
-    expected = sw_batch_max_scores(X, Y, DEFAULT_SCHEME)
-    with FaultPlan.single("shard.shm.attach", times=1):
-        with _shm_executor(rng) as ex:
-            result = ex.run(X, Y, DEFAULT_SCHEME)
-            fallbacks = ex.shm_fallbacks
-    # The failed mapping was retried over the pickle transport —
-    # bit-identically — and the executor counted the degradation.
-    assert np.array_equal(result.scores, expected)
-    assert fallbacks >= 1
-
-
-def _scenario_shm_unlink(rng, seed):
-    from repro.shard.shm import ShmArena
-
-    X, Y = _batch(rng, pairs=8)
-    expected = sw_batch_max_scores(X, Y, DEFAULT_SCHEME)
-    with FaultPlan.single("shard.shm.unlink", times=1):
-        with _shm_executor(rng) as ex:
-            result = ex.run(X, Y, DEFAULT_SCHEME)
-        # Executor close retires the arena; the injected unlink
-        # failure leaks the segment but must not raise or taint the
-        # already-settled scores.
-    assert np.array_equal(result.scores, expected)
-    # Direct arena check: the failed unlink is *counted*, never raised.
-    xs = [np.zeros(4, np.uint8)]
-    with FaultPlan.single("shard.shm.unlink", times=1):
-        arena = ShmArena(capacity=1 << 12)
-        arena.begin_run([(0, xs, xs)])
-        arena.close()
-        assert arena.unlink_failures == 1
-
-
 def _scenario_sched_mispredict(rng, seed):
     from repro.serve import AdmissionRejected, AlignmentService
     from repro.swa.sequential import sw_matrix
@@ -487,8 +435,6 @@ SCENARIOS = {
     "serve.sched.mispredict": _scenario_sched_mispredict,
     "serve.sock.drop": _scenario_sock_drop,
     "serve.sock.truncate": _scenario_sock_truncate,
-    "shard.shm.attach": _scenario_shm_attach,
-    "shard.shm.unlink": _scenario_shm_unlink,
     "shard.worker.crash": _scenario_worker_crash,
     "shard.worker.hang": _scenario_worker_hang,
     "shard.worker.slow": _scenario_worker_slow,

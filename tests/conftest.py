@@ -34,9 +34,10 @@ def _shm_segments() -> set[str]:
 def no_leaked_shm_segments():
     """Fail the run if it leaves a shared-memory segment behind.
 
-    Every segment the shard transport creates must be unlinked by the
-    time the tests finish; one that survives outlives the interpreter
-    too and accumulates in ``/dev/shm`` run after run.
+    Every ``multiprocessing.shared_memory`` segment the code under
+    test creates must be unlinked by the time the tests finish; one
+    that survives outlives the interpreter too and accumulates in
+    ``/dev/shm`` run after run.
     """
     before = _shm_segments()
     yield

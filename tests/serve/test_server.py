@@ -15,8 +15,7 @@ from repro.workloads.dna import random_strand
 from repro.core.encoding import decode
 
 
-@pytest.fixture
-def served():
+def _serving():
     """A running service + server on an ephemeral localhost port."""
     service = AlignmentService(workers=2, max_wait_ms=1,
                                bin_granularity=8)
@@ -30,6 +29,12 @@ def served():
         host, port = server.address
         yield host, port, service
     service.stop()
+
+
+served = pytest.fixture(name="served")(_serving)
+#: One server for a whole parametrized battery (teardown costs ~0.5 s).
+served_module = pytest.fixture(name="served_module", scope="module")(
+    _serving)
 
 
 class TestRoundTrip:
@@ -92,7 +97,50 @@ class TestRoundTrip:
         assert kinds[0] == "bad_request"      # malformed JSON
         assert kinds[1] == "bad_request"      # unknown op
         assert kinds[2] == "bad_request"      # missing subject
-        assert kinds[3] == "error"            # invalid DNA base
+        assert kinds[3] == "bad_request"      # invalid DNA base
+
+    @pytest.mark.parametrize("frame, message", [
+        (b"[" * 50000, "recursion"),
+        ({"alphabet": "protein", "matrix": "nope"}, "'nope'"),
+        ({"priority": "high"}, "'priority'"),
+        ({"match": "2"}, "'match'"),
+        ({"threshold": "10"}, "'threshold'"),
+        ({"timeout_ms": "fast"}, "'timeout_ms'"),
+        ({"threshold": True}, "'threshold'"),
+        ({"query": ["A"]}, "'query'"),
+        ({"query": 5}, "'query'"),
+        ({"subject": ""}, "'subject'"),
+        ({"subject": "AXGT"}, "invalid DNA base"),
+        ({"alphabet": "protein", "subject": "MKW#"}, "'#'"),
+        ({"gap_open": 1, "gap_extend": 2}, "gap_extend"),
+        ({"alphabet": "protein", "gap_open": 1, "gap_extend": 2},
+         "gap_extend"),
+        ({"match": -1}, "match_score"),
+    ], ids=["deep-nesting", "unknown-matrix", "priority-str",
+            "match-str", "threshold-str", "timeout-str", "threshold-bool",
+            "query-list", "query-int", "subject-empty", "dna-letter",
+            "protein-letter", "dna-affine-scheme", "protein-scheme",
+            "negative-match"])
+    def test_malformed_frame_is_bad_request(self, served_module, frame,
+                                            message):
+        """A malformed frame gets a typed ``bad_request`` naming the
+        defect, and the connection keeps serving."""
+        host, port, _ = served_module
+        if isinstance(frame, dict):
+            frame = json.dumps({"op": "align", "id": 1, "query": "ACGT",
+                                "subject": "ACGT", **frame}).encode()
+        with socket.create_connection((host, port), timeout=10) as sock:
+            fh = sock.makefile("rwb")
+            fh.write(frame + b"\n")
+            fh.write(json.dumps({"op": "ping", "id": 2}).encode() + b"\n")
+            fh.flush()
+            resp = json.loads(fh.readline())
+            pong = json.loads(fh.readline())
+        assert resp["ok"] is False
+        assert resp["kind"] == "bad_request"
+        assert message in resp["error"]
+        assert "missing field" not in resp["error"]
+        assert pong == {"ok": True, "id": 2, "pong": True}
 
     def test_error_mid_pipeline_preserves_neighbours(self, served, rng):
         host, port, _ = served

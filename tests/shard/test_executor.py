@@ -19,7 +19,8 @@ import repro.shard.executor as executor_mod
 from repro.engines import ENGINES, resolve
 from repro.filter.screening import bulk_max_scores
 from repro.shard import (ShardError, ShardExecutor, shard_bulk_max_scores)
-from repro.shard.worker import pack_shard, score_codes, unpack_side
+from repro.shard.worker import (as_contiguous_u8, pack_shard, score_codes,
+                                unpack_side)
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_max_score
 
@@ -116,6 +117,29 @@ class TestIdentity:
                             np.empty((0, 5), np.uint8), SCHEME)
         assert result.scores.size == 0
         assert result.timings == [] and result.errors == []
+
+    def test_width_caps_fanout_bit_identically(self, rng):
+        xs, ys = _ragged_batch(rng, pairs=24)
+        with ShardExecutor(workers=2) as ex:
+            result = ex.run(xs, ys, SCHEME, width=1)
+        assert len(result.timings) == 1
+        assert np.array_equal(result.scores, _gold(xs, ys))
+
+    def test_rejects_bad_width(self, rng):
+        xs, ys = _ragged_batch(rng, pairs=4)
+        with ShardExecutor(workers=2) as ex:
+            with pytest.raises(ValueError, match="width"):
+                ex.run(xs, ys, SCHEME, width=0)
+
+    def test_pool_runs_are_counted(self, rng):
+        # perfbench's traced probe reads these three counters.
+        X, Y = _rect_batch(rng, pairs=8)
+        with ShardExecutor(workers=2) as ex:
+            ex.run(X, Y, SCHEME)
+            ex.run(X, Y, SCHEME)
+            runs = 0 if ex.in_process else 2
+            assert (ex.pickle_runs, ex.shm_runs, ex.shm_fallbacks) \
+                == (runs, 0, 0)
 
 
 class TestTimings:
@@ -374,3 +398,21 @@ class TestWorkerLayer:
         assert resolve(_poison_engine) is _poison_engine
         with pytest.raises(ValueError):
             resolve("nope")
+
+
+class TestAsContiguous:
+    def test_contiguous_u8_is_returned_unchanged(self):
+        a = np.arange(16, dtype=np.uint8)
+        assert as_contiguous_u8(a) is a
+
+    def test_noncontiguous_and_foreign_dtypes_are_converted(self):
+        strided = np.arange(32, dtype=np.uint8)[::2]
+        out = strided if strided.flags.c_contiguous else None
+        assert out is None  # the slice really is non-contiguous
+        conv = as_contiguous_u8(strided)
+        assert conv.flags.c_contiguous
+        assert np.array_equal(conv, strided)
+        ints = [0, 1, 2, 3]
+        conv = as_contiguous_u8(ints)
+        assert conv.dtype == np.uint8
+        assert np.array_equal(conv, ints)
