@@ -16,9 +16,9 @@ the repo's existing layers:
   sharded across worker processes.  No tracebacks here — exactly the
   paper's division of labour.
 * **tier 2 — traceback.**  Entries whose best window score strictly
-  exceeds ``threshold`` are re-aligned with the wordwise CPU matrix +
-  traceback on their best window, and the alignment score is asserted
-  against the bulk engine's (the same self-check as
+  exceeds ``threshold`` are re-aligned with the numpy row-scan CPU
+  matrix + traceback on their best window, and the alignment score is
+  asserted against the bulk engine's (the same self-check as
   :func:`repro.filter.screening.screen_pairs`).
 
 Exactness: windows overlap by :func:`~repro.filter.database.window_overlap`,
@@ -50,14 +50,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.alphabet import DNA
-from ..core.encoding import decode, encode
+from ..core.encoding import encode
 from ..filter.database import window_overlap, windows_for
 from ..filter.screening import bulk_max_scores
 from ..resilience.faults import fault_point
-from ..swa.affine import AffineScheme
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
-from ..swa.sequential import sw_matrix
-from ..swa.traceback import Alignment, gotoh_align, traceback
+from ..swa.traceback import Alignment, align
 from .minimizer import minimizers
 from .stats import SearchStats
 from .store import DatabaseIndex
@@ -380,17 +378,10 @@ class TieredSearch:
 
     def _align(self, shard, q: np.ndarray, wa: int, wb: int,
                expected: int) -> Alignment:
-        """Wordwise matrix + traceback on one window, with one retry
-        (the ``index.tier2.align`` fault site) and the bulk/CPU score
-        self-check.  Protein and affine-DNA schemes align through the
-        Gotoh DP; linear DNA through the classic SW matrix."""
-        protein = callable(getattr(self.scheme, "weights_key", None))
-        if protein:
-            x = self.scheme.alphabet.decode(q)
-            y = self.scheme.alphabet.decode(shard.window_codes(wa, wb))
-        else:
-            x = decode(q)
-            y = decode(shard.window_codes(wa, wb))
+        """Row-scan matrix + traceback on one window
+        (:func:`repro.swa.traceback.align`, any scheme kind), with one
+        retry (the ``index.tier2.align`` fault site) and the bulk/CPU
+        score self-check."""
         for attempt in (0, 1):
             try:
                 fault_point("index.tier2.align")
@@ -398,11 +389,7 @@ class TieredSearch:
             except Exception:
                 if attempt:
                     raise
-        if protein or isinstance(self.scheme, AffineScheme):
-            aln = gotoh_align(x, y, self.scheme)
-        else:
-            d = sw_matrix(x, y, self.scheme)
-            aln = traceback(d, x, y, self.scheme)
+        aln = align(q, shard.window_codes(wa, wb), self.scheme)
         if aln.score != expected:  # pragma: no cover - self check
             raise AssertionError(
                 f"tier-1/tier-2 score mismatch: bulk {expected} vs "

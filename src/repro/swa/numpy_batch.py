@@ -19,7 +19,7 @@ import numpy as np
 
 from .scoring import ScoringScheme
 
-__all__ = ["sw_batch_max_scores", "sw_batch_score_matrix"]
+__all__ = ["sw_batch_max_scores"]
 
 
 def sw_batch_max_scores(X: np.ndarray, Y: np.ndarray,
@@ -72,30 +72,3 @@ def sw_batch_max_scores(X: np.ndarray, Y: np.ndarray,
         prev1 = nxt
     return best.astype(np.int64)
 
-
-def sw_batch_score_matrix(X: np.ndarray, Y: np.ndarray,
-                          scheme: ScoringScheme) -> np.ndarray:
-    """Full ``(P, m+1, n+1)`` scoring matrices for small batches.
-
-    Vectorised over pairs, used by tests and by the screening app when
-    it needs full matrices for several survivors at once.
-    """
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    P, m = X.shape
-    n = Y.shape[1]
-    c1 = scheme.match_score
-    c2 = scheme.mismatch_penalty
-    gap = scheme.gap_penalty
-    d = np.zeros((P, m + 1, n + 1), dtype=np.int64)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            w = np.where(X[:, i - 1] == Y[:, j - 1], c1, -c2)
-            d[:, i, j] = np.maximum(
-                0,
-                np.maximum(
-                    np.maximum(d[:, i - 1, j] - gap, d[:, i, j - 1] - gap),
-                    d[:, i - 1, j - 1] + w,
-                ),
-            )
-    return d

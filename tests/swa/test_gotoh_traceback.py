@@ -1,4 +1,5 @@
-"""Tests for affine-gap traceback (swa.traceback.gotoh_*)."""
+"""Tests for affine-gap traceback (swa.traceback.align on affine DNA
+and protein schemes, which walk the Gotoh H/E/F triple)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from repro.core.alphabet import PROTEIN_X
 from repro.core.matrices import BLOSUM62
 from repro.core.protein import ProteinScheme, subst_gotoh_max_score
 from repro.swa.affine import AffineScheme, gotoh_max_score
-from repro.swa.traceback import gotoh_align
+from repro.swa.traceback import align
 
 
 class TestDnaGotohAlign:
@@ -21,14 +22,14 @@ class TestDnaGotohAlign:
         for _ in range(20):
             x = rng.integers(0, 4, size=rng.integers(1, 30))
             y = rng.integers(0, 4, size=rng.integers(1, 30))
-            aln = gotoh_align(x, y, self.SCHEME)
+            aln = align(x, y, self.SCHEME)
             assert aln.score == gotoh_max_score(x, y, self.SCHEME)
 
     def test_alignment_rows_consistent(self):
         rng = np.random.default_rng(12)
         x = rng.integers(0, 4, size=24)
         y = rng.integers(0, 4, size=24)
-        aln = gotoh_align(x, y, self.SCHEME)
+        aln = align(x, y, self.SCHEME)
         assert len(aln.aligned_x) == len(aln.aligned_y)
         # The gapless characters spell the claimed subsequences.
         assert aln.x_end - aln.x_start == \
@@ -46,7 +47,7 @@ class TestDnaGotohAlign:
         flank2 = [1] * 6
         x = np.array(flank1 + flank2, dtype=np.uint8)
         y = np.array(flank1 + [2, 2, 2] + flank2, dtype=np.uint8)
-        aln = gotoh_align(x, y, sch)
+        aln = align(x, y, sch)
         want = 12 * sch.match_score - sch.gap_open - 2 * sch.gap_extend
         assert aln.score == want == gotoh_max_score(x, y, sch)
         assert "---" in aln.aligned_x
@@ -61,14 +62,13 @@ class TestProteinGotohAlign:
         for _ in range(15):
             x = rng.integers(0, 20, size=rng.integers(1, 30))
             y = rng.integers(0, 20, size=rng.integers(1, 30))
-            aln = gotoh_align(x, y, self.SCHEME)
+            aln = align(x, y, self.SCHEME)
             assert aln.score == subst_gotoh_max_score(x, y, self.SCHEME)
 
     def test_identity_alignment_scores_diagonal_sum(self):
-        # Letter strings (what the screening/search callers pass after
-        # decoding) keep letters in the alignment rows.
+        # Letter strings keep their letters in the alignment rows.
         seq = "MVLSPADK"
-        aln = gotoh_align(seq, seq, self.SCHEME)
+        aln = align(seq, seq, self.SCHEME)
         codes = PROTEIN_X.encode(seq)
         W = self.SCHEME.weights()
         assert aln.score == int(sum(W[c, c] for c in codes))
@@ -78,7 +78,7 @@ class TestProteinGotohAlign:
     def test_aligned_rows_use_protein_letters(self):
         x = "MKWVTFISLLFLFSSAYS"
         y = "MKWVTFLLLFSSAYS"
-        aln = gotoh_align(x, y, self.SCHEME)
+        aln = align(x, y, self.SCHEME)
         residues = set(PROTEIN_X.letters) | {"-"}
         assert set(aln.aligned_x) <= residues
         assert set(aln.aligned_y) <= residues
@@ -91,6 +91,6 @@ class TestProteinGotohAlign:
         # itself; pick pairs with no positive entry.
         x = PROTEIN_X.encode("W")
         y = PROTEIN_X.encode("P")
-        aln = gotoh_align(x, y, self.SCHEME)
+        aln = align(x, y, self.SCHEME)
         assert aln.score == 0
         assert aln.aligned_x == "" and aln.aligned_y == ""

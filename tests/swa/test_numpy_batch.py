@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.swa.numpy_batch import sw_batch_max_scores, sw_batch_score_matrix
+from repro.swa.numpy_batch import sw_batch_max_scores
 from repro.swa.scoring import ScoringScheme
-from repro.swa.sequential import sw_matrix, sw_max_score
+from repro.swa.sequential import sw_max_score
 
 SCHEME = ScoringScheme(2, 1, 1)
 
@@ -69,24 +69,3 @@ class TestBatchMaxScores:
             sw_batch_max_scores(X, Y, SCHEME), gold
         )
 
-
-class TestBatchScoreMatrix:
-    def test_matches_gold_matrices(self, rng):
-        P, m, n = 6, 5, 8
-        X = rng.integers(0, 4, (P, m), dtype=np.uint8)
-        Y = rng.integers(0, 4, (P, n), dtype=np.uint8)
-        d = sw_batch_score_matrix(X, Y, SCHEME)
-        assert d.shape == (P, m + 1, n + 1)
-        for p in range(P):
-            np.testing.assert_array_equal(d[p],
-                                          sw_matrix(X[p], Y[p], SCHEME))
-
-    def test_max_agrees_with_batch_scores(self, rng):
-        P = 10
-        X = rng.integers(0, 4, (P, 4), dtype=np.uint8)
-        Y = rng.integers(0, 4, (P, 9), dtype=np.uint8)
-        d = sw_batch_score_matrix(X, Y, SCHEME)
-        np.testing.assert_array_equal(
-            d.reshape(P, -1).max(axis=1),
-            sw_batch_max_scores(X, Y, SCHEME),
-        )

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.protein import ProteinScheme, subst_gotoh_max_score
+from repro.swa.affine import AffineScheme, gotoh_max_score
 from repro.swa.scoring import ScoringScheme
-from repro.swa.sequential import sw_matrix
+from repro.swa.sequential import sw_matrix, sw_max_score
 from repro.swa.traceback import (
     Alignment,
     align,
     format_alignment,
     traceback,
+    weight_matrix,
 )
 
 SCHEME = ScoringScheme(2, 1, 1)
@@ -78,13 +81,15 @@ class TestTraceback:
     def test_explicit_end_cell(self):
         x, y = "TACTG", "GAACTGA"
         d = sw_matrix(x, y, SCHEME)
-        a = traceback(d, x, y, SCHEME, end=(4, 5))
+        a = traceback(d, weight_matrix(x, y, SCHEME), x, y, SCHEME,
+                      end=(4, 5))
         assert a.score == int(d[4, 5]) == 6
 
     def test_shape_mismatch_rejected(self):
         d = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            traceback(d, "ACGT", "ACG", SCHEME)
+            traceback(d, weight_matrix("ACGT", "ACG", SCHEME), "ACGT",
+                      "ACG", SCHEME)
 
     def test_format_alignment(self):
         text = format_alignment(align("TACTG", "GAACTGA", SCHEME))
@@ -100,3 +105,28 @@ class TestTraceback:
         a = align(x, y, SCHEME)
         assert _score_alignment(a, SCHEME) == a.score
         assert a.score == int(sw_matrix(x, y, SCHEME).max())
+
+
+class TestAlignSchemeKinds:
+    """``align`` takes every scheme kind: linear DNA walks H, affine
+    DNA and protein walk the Gotoh triple."""
+
+    @pytest.mark.parametrize("scheme, gold", [
+        (ScoringScheme(2, 1, 1), sw_max_score),
+        (AffineScheme(2, 1, 3, 1), gotoh_max_score),
+        (ProteinScheme(), subst_gotoh_max_score),
+    ], ids=["linear", "affine", "protein"])
+    def test_align_any_scheme(self, scheme, gold):
+        x, y = "ACGTACGTTGCA", "ACGAACGTGCA"
+        a = align(x, y, scheme)
+        alph = getattr(scheme, "alphabet", None)
+        codes = (alph.encode(x), alph.encode(y)) if alph else (x, y)
+        assert a.score == gold(*codes, scheme) > 0
+        assert a.aligned_x.replace("-", "") == x[a.x_start:a.x_end]
+        assert a.aligned_y.replace("-", "") == y[a.y_start:a.y_end]
+
+    def test_code_arrays_spell_letters(self):
+        from repro.core.encoding import encode
+
+        x, y = "TACTG", "GAACTGA"
+        assert align(encode(x), encode(y), SCHEME) == align(x, y, SCHEME)

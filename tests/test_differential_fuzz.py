@@ -37,10 +37,14 @@ from repro.engines import ENGINES
 from repro.serve.packer import pack_requests
 from repro.serve.queue import AlignmentRequest
 from repro.shard import ShardExecutor
+from repro.swa.affine import AffineScheme, gotoh_matrix
 from repro.swa.numpy_batch import sw_batch_max_scores
 from repro.swa.parallel import sw_matrix_wavefront
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_matrix
+from repro.swa.traceback import align, fill_matrices, weight_matrix
+
+from .oracles import gotoh_matrices, oracle_align
 
 #: Default seed for deterministic tier-1 runs; CI's fuzz job rotates
 #: it via the environment (see module docstring).
@@ -54,6 +58,16 @@ SCHEMES = (
     ScoringScheme(1, 1, 1),
     ScoringScheme(3, 2, 2),
     ScoringScheme(5, 4, 3),
+)
+
+#: Affine schemes the row-scan check rotates across groups (match,
+#: mismatch, gap_open, gap_extend): free gap extension and the
+#: ``gap_open == gap_extend`` degeneracy included.
+AFFINE_SCHEMES = (
+    AffineScheme(2, 1, 3, 1),
+    AffineScheme(1, 1, 2, 0),
+    AffineScheme(3, 2, 2, 2),
+    AffineScheme(5, 4, 7, 3),
 )
 
 GROUPS = 52
@@ -191,6 +205,39 @@ def test_cell_evaluators_bit_identical(fuzz_groups):
             f"shape=({g.X.shape[1]}, {g.Y.shape[1]})\n"
             f"  scheme={g.scheme}"
         )
+
+
+def test_row_scan_matches_oracles(fuzz_groups):
+    """The numpy row-scan fill behind every survivor alignment, on one
+    pair per group: runs of four groups alternate between the group's
+    linear scheme (so every ``SCHEMES`` entry) and the matching
+    ``AFFINE_SCHEMES`` entry.  H is checked cell for cell against
+    ``sw_matrix`` / ``gotoh_matrix``, E/F against the pure-Python E/F
+    oracle, and ``align``'s alignment against the one the unchanged
+    walks trace through the oracle matrices."""
+    for g in fuzz_groups:
+        p = g.index % GROUP_PAIRS
+        x, y = g.X[p], g.Y[p]
+        if (g.index // len(SCHEMES)) % 2 == 0:
+            scheme, h_oracle = g.scheme, sw_matrix
+            gaps = (scheme.gap_penalty,) * 2
+        else:
+            scheme = AFFINE_SCHEMES[g.index % len(AFFINE_SCHEMES)]
+            h_oracle = gotoh_matrix
+            gaps = (scheme.gap_open, scheme.gap_extend)
+        got = fill_matrices(weight_matrix(x, y, scheme), *gaps)
+        want = gotoh_matrices(x, y, scheme)
+        where = (f"seed={SEED} (rerun: REPRO_FUZZ_SEED={SEED}) "
+                 f"group={g.index} kind={g.kind} pair={p} "
+                 f"scheme={scheme}\n  x={decode(x)}\n  y={decode(y)}")
+        assert np.array_equal(got[0], h_oracle(x, y, scheme)), \
+            f"row-scan H differs from {h_oracle.__name__}: {where}"
+        for name, a, b in zip("HEF", got, want):
+            assert np.array_equal(a, b), \
+                f"row-scan {name} differs from the E/F oracle: {where}"
+        assert align(x, y, scheme) == oracle_align(
+            x, y, scheme, matrices=want), \
+            f"row-scan alignment differs from the oracle's: {where}"
 
 
 def test_serve_bpbc_engine_agrees(fuzz_groups):

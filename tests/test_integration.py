@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.encoding import decode
+from repro.core.protein import ProteinScheme
 from repro.filter.database import search_database
 from repro.filter.screening import screen_pairs
 from repro.filter.stats import fit_null_model, suggest_threshold
+from repro.index.search import TieredSearch
+from repro.index.store import build_index
 from repro.kernels.pipeline import run_gpu_pipeline
+from repro.swa.affine import AffineScheme
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_max_score
 from repro.workloads.dna import MutationModel, homologous_pairs
 from repro.workloads.fasta import FastaRecord, read_fasta, write_fasta
+
+from .oracles import oracle_align
 
 SCHEME = ScoringScheme(2, 1, 1)
 
@@ -101,3 +108,73 @@ class TestCliOnGeneratedWorkload:
         main(["match", str(qp), str(sp)])
         match_lines = capsys.readouterr().out.strip().splitlines()[1:]
         assert all(l.split("\t")[3] != "-" for l in match_lines)
+
+
+class TestSurvivorAlignmentIdentity:
+    """Screen hits and tiered-search top-k alignments, end to end, are
+    exactly the ones the unchanged walks trace through the pure-Python
+    oracle matrices: pair indices, scores, coordinates and rows."""
+
+    SCHEMES = {
+        "linear": ScoringScheme(2, 1, 1),
+        "affine": AffineScheme(2, 1, 3, 1),
+        "protein": ProteinScheme(),
+    }
+
+    @staticmethod
+    def _planted(rng, P, m, n, alphabet_size):
+        X = rng.integers(0, alphabet_size, (P, m), dtype=np.uint8)
+        Y = rng.integers(0, alphabet_size, (P, n), dtype=np.uint8)
+        for p in (1, 4):
+            Y[p, 5:5 + m] = X[p]
+            Y[p, 5 + m // 2] = (Y[p, 5 + m // 2] + 1) % alphabet_size
+        return X, Y
+
+    @staticmethod
+    def _key(a):
+        return (a.score, a.x_start, a.x_end, a.y_start, a.y_end,
+                a.aligned_x, a.aligned_y)
+
+    @pytest.mark.parametrize("kind", ["linear", "affine", "protein"])
+    def test_screen_hits_match_oracle(self, rng, kind, monkeypatch):
+        import repro.filter.screening as screening
+
+        scheme = self.SCHEMES[kind]
+        size = 20 if kind == "protein" else 4
+        X, Y = self._planted(rng, 8, 24, 64, size)
+        tau = 30
+        got = screen_pairs(X, Y, tau, scheme)
+        monkeypatch.setattr(screening, "traceback", oracle_align)
+        want = screen_pairs(X, Y, tau, scheme)
+        assert {1, 4} <= {h.pair_index for h in got.hits}
+        assert ([(h.pair_index, h.score, self._key(h.alignment))
+                 for h in got.hits]
+                == [(h.pair_index, h.score, self._key(h.alignment))
+                    for h in want.hits])
+
+    @pytest.mark.parametrize("kind", ["linear", "affine", "protein"])
+    def test_tiered_top_k_matches_oracle(self, rng, kind, tmp_path,
+                                         monkeypatch):
+        import repro.index.search as search
+
+        scheme = self.SCHEMES[kind]
+        protein = kind == "protein"
+        size = 20 if protein else 4
+        entries = [rng.integers(0, size, int(n), dtype=np.uint8)
+                   for n in rng.integers(80, 200, size=10)]
+        query = rng.integers(0, size, 24, dtype=np.uint8)
+        for e in (2, 7):
+            entries[e][30:54] = query
+        entries[7][40] = (entries[7][40] + 1) % size
+        idx = build_index(((f"e{i}", s) for i, s in enumerate(entries)),
+                          tmp_path / "idx", k=6, w=3,
+                          alphabet="protein" if protein else "dna")
+        ts = TieredSearch(idx, scheme=scheme, min_seeds=1, threshold=30)
+        got = ts.search([query], top_k=3)
+        monkeypatch.setattr(search, "align", oracle_align)
+        want = ts.search([query], top_k=3)
+        assert {2, 7} <= {h.db_index for h in got.hits}
+        assert ([(h.db_index, h.score, self._key(h.alignment))
+                 for h in got.hits]
+                == [(h.db_index, h.score, self._key(h.alignment))
+                    for h in want.hits])

@@ -42,11 +42,14 @@ from repro.core.encoding import encode_batch_char_planes
 from repro.core.matrices import (BLOSUM50, BLOSUM62, PAM250,
                                  SubstitutionMatrix)
 from repro.core.protein import (ProteinScheme, subst_gotoh_batch_max_scores,
-                                subst_gotoh_max_score)
+                                subst_gotoh_matrix, subst_gotoh_max_score)
 from repro.core.sw_bpbc import bpbc_sw_wavefront_planes
 from repro.engines import ENGINES
 from repro.serve.packer import pack_requests
 from repro.serve.queue import AlignmentRequest
+from repro.swa.traceback import align, fill_matrices, weight_matrix
+
+from .oracles import gotoh_matrices, oracle_align
 
 #: Default seed for deterministic tier-1 runs; CI's fuzz job rotates
 #: it via the environment (see module docstring).
@@ -206,6 +209,33 @@ def test_pure_python_gotoh_agrees(fuzz_groups):
                 _explain("core.protein.subst_gotoh_max_score", g,
                          np.where(np.arange(GROUP_PAIRS) == p, got,
                                   g.gold))
+
+
+def test_row_scan_matches_oracles(fuzz_groups):
+    """The numpy row-scan fill behind every survivor alignment, on one
+    pair per group (every family, wildcards included): H cell for
+    cell against ``subst_gotoh_matrix``, E/F against the pure-Python
+    E/F oracle, and ``align``'s alignment against the one the
+    unchanged walk traces through the oracle matrices."""
+    for g in fuzz_groups:
+        sch = g.scheme
+        p = g.index % GROUP_PAIRS
+        x, y = g.X[p], g.Y[p]
+        got = fill_matrices(weight_matrix(x, y, sch), sch.gap_open,
+                            sch.gap_extend)
+        want = gotoh_matrices(x, y, sch)
+        where = (f"seed={SEED} (rerun: REPRO_FUZZ_SEED={SEED}) "
+                 f"group={g.index} kind={g.kind} pair={p} "
+                 f"matrix={sch.matrix.name} gap_open={sch.gap_open} "
+                 f"gap_extend={sch.gap_extend}\n"
+                 f"  x={PROTEIN_X.decode(x)}\n  y={PROTEIN_X.decode(y)}")
+        assert np.array_equal(got[0], subst_gotoh_matrix(x, y, sch)), \
+            f"row-scan H differs from subst_gotoh_matrix: {where}"
+        for name, a, b in zip("HEF", got, want):
+            assert np.array_equal(a, b), \
+                f"row-scan {name} differs from the E/F oracle: {where}"
+        assert align(x, y, sch) == oracle_align(x, y, sch, matrices=want), \
+            f"row-scan alignment differs from the oracle's: {where}"
 
 
 def test_generic_cell_agrees(fuzz_groups):
