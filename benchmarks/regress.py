@@ -73,12 +73,16 @@ CELLS = ("generic", "compiled-numpy", "compiled")
 #: (same shape as ``benchmarks/conftest.py``'s ``bench_batch``);
 #: ``quick`` is sized for CI smoke runs (~seconds total).  The protein
 #: sub-workload is smaller: the affine mux-tree cell does several
-#: times the gate work of the DNA cell per plane.
+#: times the gate work of the DNA cell per plane.  ``quick`` still
+#: spans 16 (DNA) and 8 (protein) 64-bit lane words: at one 4-word
+#: vector the native step is only ~2x faster than with a scalar word,
+#: within the noise of CI's 1.5x gate, while at these widths a slide
+#: back to the scalar word costs ~3x and fails it.
 WORKLOADS = {
     "full": {"pairs": 2048, "m": 128, "n": 512, "repeats": 3,
              "protein": {"pairs": 512, "m": 64, "n": 128}},
-    "quick": {"pairs": 256, "m": 64, "n": 128, "repeats": 5,
-              "protein": {"pairs": 128, "m": 32, "n": 64}},
+    "quick": {"pairs": 1024, "m": 64, "n": 128, "repeats": 5,
+              "protein": {"pairs": 512, "m": 32, "n": 64}},
 }
 
 #: Default allowed slowdown in ``rel`` before --check fails.

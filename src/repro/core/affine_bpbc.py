@@ -149,54 +149,42 @@ def bpbc_gotoh_wavefront_planes(Xp, Yp, scheme, word_bits: int,
     # written band hold stale data but are never read again — the
     # band's bounds are monotone in t (same argument as the linear
     # engine), and rows not yet entered read their init zeros.
-    h1 = np.zeros((s, m + 1, lanes), dtype=dt)
-    h2 = np.zeros((s, m + 1, lanes), dtype=dt)
-    e = np.zeros((s, m + 1, lanes), dtype=dt)
-    f = np.zeros((s, m + 1, lanes), dtype=dt)
-    best = np.zeros((s, m, lanes), dtype=dt)
     if step is not None and step.backend == "c":
-        a1, a2 = h1.ctypes.data, h2.ctypes.data
-        ae, af = e.ctypes.data, f.ctypes.data
-        ab = best.ctypes.data
-        ax, ay = Xp.ctypes.data, Yp.ctypes.data
-        fn = step.fn
-        for t in range(m + n - 1):
-            lo = t - n + 1 if t >= n else 0
-            hi = m - 1 if t >= m else t
-            fn(a1, a2, ae, af, ab, ax, ay, t, lo, hi, m, n, lanes)
-            a1, a2 = a2, a1
-    elif step is not None:
-        for t in range(m + n - 1):
-            lo = max(0, t - n + 1)
-            hi = min(m - 1, t)
-            step(h1, h2, e, f, best, Xp, Yp, t, lo, hi)
-            h1, h2 = h2, h1
+        best = step.run(Xp, Yp)
     else:
+        h1 = np.zeros((s, m + 1, lanes), dtype=dt)
+        h2 = np.zeros((s, m + 1, lanes), dtype=dt)
+        e = np.zeros((s, m + 1, lanes), dtype=dt)
+        f = np.zeros((s, m + 1, lanes), dtype=dt)
+        best = np.zeros((s, m, lanes), dtype=dt)
         for t in range(m + n - 1):
             lo = max(0, t - n + 1)
             hi = min(m - 1, t)
-            rows = slice(lo, hi + 1)          # active DP rows (0-based)
-            up = slice(lo, hi + 1)            # padded index i -> row i-1
-            dst = slice(lo + 1, hi + 2)       # padded index i+1 -> row i
-            x = [Xp[b, rows] for b in range(eps)]
-            y = [Yp[b, t - hi:t - lo + 1][::-1] for b in range(eps)]
-            H, E, F = eval_cell(
-                [h1[h, dst] for h in range(s)],   # H[i][j-1]
-                [e[h, dst] for h in range(s)],    # E[i][j-1]
-                [h1[h, up] for h in range(s)],    # H[i-1][j]
-                [f[h, up] for h in range(s)],     # F[i-1][j]
-                [h2[h, up] for h in range(s)],    # H[i-1][j-1]
-                x, y,
-            )
-            for h in range(s):
-                h2[h, dst] = H[h]
-                e[h, dst] = E[h]
-                f[h, dst] = F[h]
+            if step is not None:
+                step(h1, h2, e, f, best, Xp, Yp, t, lo, hi)
+            else:
+                rows = slice(lo, hi + 1)   # active DP rows (0-based)
+                up = slice(lo, hi + 1)     # padded index i -> row i-1
+                dst = slice(lo + 1, hi + 2)  # padded index i+1 -> row i
+                x = [Xp[b, rows] for b in range(eps)]
+                y = [Yp[b, t - hi:t - lo + 1][::-1] for b in range(eps)]
+                H, E, F = eval_cell(
+                    [h1[h, dst] for h in range(s)],   # H[i][j-1]
+                    [e[h, dst] for h in range(s)],    # E[i][j-1]
+                    [h1[h, up] for h in range(s)],    # H[i-1][j]
+                    [f[h, up] for h in range(s)],     # F[i-1][j]
+                    [h2[h, up] for h in range(s)],    # H[i-1][j-1]
+                    x, y,
+                )
+                for h in range(s):
+                    h2[h, dst] = H[h]
+                    e[h, dst] = E[h]
+                    f[h, dst] = F[h]
+                new_best = max_b([best[h, rows] for h in range(s)], H,
+                                 counter)
+                for h in range(s):
+                    best[h, rows] = new_best[h]
             h1, h2 = h2, h1
-            new_best = max_b([best[h, rows] for h in range(s)], H,
-                             counter)
-            for h in range(s):
-                best[h, rows] = new_best[h]
     final = reduce_max_rows(best, word_bits, counter, in_place=True)
     planes = np.stack(final)
     return BPBCResult(

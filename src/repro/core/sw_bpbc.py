@@ -321,47 +321,36 @@ def bpbc_sw_wavefront_planes(Xp, Yp, scheme: ScoringScheme,
     # rows never written on either buffer (still zero) — the active
     # band's bounds are monotone in t, so retired rows are never read
     # again.
-    prev1 = np.zeros((s, m + 1, lanes), dtype=dt)
-    prev2 = np.zeros((s, m + 1, lanes), dtype=dt)
-    best = np.zeros((s, m, lanes), dtype=dt)
     if step is not None and step.backend == "c":
-        a1, a2 = prev1.ctypes.data, prev2.ctypes.data
-        ab = best.ctypes.data
-        ax, ay = Xp.ctypes.data, Yp.ctypes.data
-        fn = step.fn
-        for t in range(m + n - 1):
-            lo = t - n + 1 if t >= n else 0
-            hi = m - 1 if t >= m else t
-            fn(a1, a2, ab, ax, ay, t, lo, hi, m, n, lanes)
-            a1, a2 = a2, a1
-    elif step is not None:
-        for t in range(m + n - 1):
-            lo = max(0, t - n + 1)
-            hi = min(m - 1, t)
-            step(prev1, prev2, best, Xp, Yp, t, lo, hi)
-            prev1, prev2 = prev2, prev1
+        best = step.run(Xp, Yp)
     else:
+        prev1 = np.zeros((s, m + 1, lanes), dtype=dt)
+        prev2 = np.zeros((s, m + 1, lanes), dtype=dt)
+        best = np.zeros((s, m, lanes), dtype=dt)
         for t in range(m + n - 1):
             lo = max(0, t - n + 1)
             hi = min(m - 1, t)
-            rows = slice(lo, hi + 1)          # active DP rows (0-based)
-            up_rows = slice(lo, hi + 1)       # padded index i -> row i-1
-            self_rows = slice(lo + 1, hi + 2)  # padded index i+1 -> row i
-            x = [Xp[b, rows] for b in range(eps)]
-            y = [Yp[b, t - hi:t - lo + 1][::-1] for b in range(eps)]
-            fresh = eval_cell(
-                [prev1[h, up_rows] for h in range(s)],    # d[i-1][j]
-                [prev1[h, self_rows] for h in range(s)],  # d[i][j-1]
-                [prev2[h, up_rows] for h in range(s)],    # d[i-1][j-1]
-                x, y,
-            )
-            for h in range(s):
-                prev2[h, self_rows] = fresh[h]
+            if step is not None:
+                step(prev1, prev2, best, Xp, Yp, t, lo, hi)
+            else:
+                rows = slice(lo, hi + 1)   # active DP rows (0-based)
+                up = slice(lo, hi + 1)     # padded index i -> row i-1
+                dst = slice(lo + 1, hi + 2)  # padded index i+1 -> row i
+                x = [Xp[b, rows] for b in range(eps)]
+                y = [Yp[b, t - hi:t - lo + 1][::-1] for b in range(eps)]
+                fresh = eval_cell(
+                    [prev1[h, up] for h in range(s)],    # d[i-1][j]
+                    [prev1[h, dst] for h in range(s)],   # d[i][j-1]
+                    [prev2[h, up] for h in range(s)],    # d[i-1][j-1]
+                    x, y,
+                )
+                for h in range(s):
+                    prev2[h, dst] = fresh[h]
+                new_best = max_b([best[h, rows] for h in range(s)], fresh,
+                                 counter)
+                for h in range(s):
+                    best[h, rows] = new_best[h]
             prev1, prev2 = prev2, prev1
-            new_best = max_b([best[h, rows] for h in range(s)], fresh,
-                             counter)
-            for h in range(s):
-                best[h, rows] = new_best[h]
     final = reduce_max_rows(best, word_bits, counter, in_place=True)
     planes = np.stack(final)
     return BPBCResult(

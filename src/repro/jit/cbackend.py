@@ -27,7 +27,16 @@ otherwise plant a ``.so`` for us to ``dlopen``.  A directory failing
 that check is never used; a fresh private per-process directory
 (``tempfile.mkdtemp``) silently takes its place.
 
-Memory layout contract (all arrays C-contiguous, the word dtype):
+The kernel word ``W`` is the scalar ``uintN_t`` for 8/16/32-bit
+words.  At 64 bits it is a GCC vector of :data:`VEC_WORDS` ``uint64_t``
+lane words (256 bits), so on an AVX2 host every gate of the
+straight-line body is one instruction over four lane words; 512-bit
+vectors were measured slower on one-word serve batches.
+
+Memory layout contract (all arrays C-contiguous, the word dtype; ``L``
+counts ``W`` elements, so every plane's last axis is ``L *
+vec_words(word_bits)`` lane words — callers zero-pad the lanes, see
+:meth:`repro.jit.cells.CStep.run`):
 
 * ``p1``/``p2``: ``(s, m + 1, L)`` row-padded state planes for
   diagonals ``t - 1`` / ``t - 2``; padded row 0 is a permanent zero.
@@ -59,7 +68,7 @@ from .compiler import CellPlan, JitError, Ref
 
 __all__ = ["cc_available", "compiler_path", "c_step_source",
            "c_gotoh_step_source", "compile_step", "STEP_SYMBOL",
-           "GOTOH_STEP_SYMBOL"]
+           "GOTOH_STEP_SYMBOL", "VEC_WORDS", "vec_words"]
 
 #: Exported symbol name of every generated step kernel.
 STEP_SYMBOL = "repro_sw_step"
@@ -67,7 +76,10 @@ STEP_SYMBOL = "repro_sw_step"
 #: Exported symbol name of the affine (Gotoh) step kernels.
 GOTOH_STEP_SYMBOL = "repro_gotoh_step"
 
-_C_TYPES = {8: "uint8_t", 16: "uint16_t", 32: "uint32_t", 64: "uint64_t"}
+#: ``uint64_t`` lane words per 64-bit kernel element ``W``.
+VEC_WORDS = 4
+
+_C_TYPES = {8: "uint8_t", 16: "uint16_t", 32: "uint32_t"}
 
 _lock = threading.Lock()
 _libs: dict[str, ctypes.CDLL] = {}
@@ -149,6 +161,63 @@ def _cleanup_fallback_dir() -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
+def vec_words(word_bits: int) -> int:
+    """Lane words held by one kernel element ``W`` at ``word_bits``."""
+    return VEC_WORDS if word_bits == 64 else 1
+
+
+def _word_typedef(word_bits: int) -> str:
+    # aligned(8): numpy buffers are only word-aligned, and a vector
+    # type's natural 32-byte alignment would license aligned loads.
+    if word_bits == 64:
+        return (f"typedef uint64_t W __attribute__((vector_size("
+                f"{8 * VEC_WORDS}), aligned(8)));")
+    return f"typedef {_C_TYPES[word_bits]} W;"
+
+
+def _check_layout(plan: CellPlan, expected: list[tuple[str, int]],
+                  n_outputs: int, what: str) -> None:
+    if list(plan.input_layout) != expected:
+        raise JitError(f"plan input layout does not match the fused "
+                       f"{what}/best netlist")
+    if len(plan.outputs) != n_outputs:
+        raise JitError(f"fused {what} plan must have {n_outputs} "
+                       f"outputs, got {len(plan.outputs)}")
+
+
+def _gate_body(plan: CellPlan, load: list[str],
+               stores: list[str]) -> str:
+    """Straight-line C for one lane element: a ``const W`` per used
+    input (``load[k]`` reads flat input ``k``), one per gate, then
+    ``stores[j] = <output j>``.  Constants are vector-safe literals —
+    ``(W)0`` does not compile when ``W`` is a vector type."""
+    used = {r[1] for op in plan.ops for r in op[1:]
+            if r is not None and r[0] == "in"}
+    used.update(r[1] for r in plan.outputs if r[0] == "in")
+
+    def nm(r: Ref) -> str:
+        if r[0] == "in":
+            return f"i{r[1]}"
+        if r[0] == "op":
+            return f"t{r[1]}"
+        return "(~(W){0})" if r[1] else "((W){0})"
+
+    body = [f"const W i{k} = {load[k]};" for k in sorted(used)]
+    for j, (kind, a, b) in enumerate(plan.ops):
+        if kind == "NOT":
+            expr = f"~{nm(a)}"
+        else:
+            sym = {"AND": "&", "OR": "|", "XOR": "^"}[kind]
+            expr = f"{nm(a)} {sym} {nm(b)}"  # type: ignore[arg-type]
+        body.append(f"const W t{j} = {expr};")
+    body += [f"{dst} = {nm(r)};" for dst, r in zip(stores, plan.outputs)]
+    return "\n                ".join(body)
+
+
+def _planes(ptr: str, n: int, stride: str) -> list[str]:
+    return [f"{ptr}[{k} * {stride} + l]" for k in range(n)]
+
+
 def c_step_source(plan: CellPlan, s: int, eps: int, word_bits: int) -> str:
     """Emit the C source of the fused wavefront step for ``plan``.
 
@@ -159,57 +228,23 @@ def c_step_source(plan: CellPlan, s: int, eps: int, word_bits: int) -> str:
     :func:`repro.core.netlist.build_sw_cell_best_netlist`).
     """
     check_word_bits(word_bits)
-    expected = ([("up", h) for h in range(s)]
-                + [("left", h) for h in range(s)]
-                + [("diag", h) for h in range(s)]
-                + [("x", b) for b in range(eps)]
-                + [("y", b) for b in range(eps)]
-                + [("best", h) for h in range(s)])
-    if list(plan.input_layout) != expected:
-        raise JitError("plan input layout does not match the fused "
-                       "SW-cell/best netlist")
-    if len(plan.outputs) != 2 * s:
-        raise JitError(
-            f"fused plan must have {2 * s} outputs, got {len(plan.outputs)}"
-        )
-
-    # Flat input index -> C load expression (strides hoisted below).
-    load: list[str] = ([f"up[{h} * ps + l]" for h in range(s)]
-                       + [f"left[{h} * ps + l]" for h in range(s)]
-                       + [f"diag[{h} * ps + l]" for h in range(s)]
-                       + [f"xr[{b} * cs + l]" for b in range(eps)]
-                       + [f"yr[{b} * ds + l]" for b in range(eps)]
-                       + [f"br[{h} * bs + l]" for h in range(s)])
-    used = {r[1] for op in plan.ops for r in op[1:]
-            if r is not None and r[0] == "in"}
-    used.update(r[1] for r in plan.outputs if r[0] == "in")
-
-    def nm(r: Ref) -> str:
-        if r[0] == "in":
-            return f"i{r[1]}"
-        if r[0] == "op":
-            return f"t{r[1]}"
-        return "(~(W)0)" if r[1] else "((W)0)"
-
-    body: list[str] = []
-    for k in sorted(used):
-        body.append(f"const W i{k} = {load[k]};")
-    for j, (kind, a, b) in enumerate(plan.ops):
-        if kind == "NOT":
-            expr = f"~{nm(a)}"
-        else:
-            sym = {"AND": "&", "OR": "|", "XOR": "^"}[kind]
-            expr = f"{nm(a)} {sym} {nm(b)}"  # type: ignore[arg-type]
-        body.append(f"const W t{j} = {expr};")
-    for h in range(s):
-        body.append(f"dst[{h} * ps + l] = {nm(plan.outputs[h])};")
-    for h in range(s):
-        body.append(f"br[{h} * bs + l] = {nm(plan.outputs[s + h])};")
-    inner = "\n                ".join(body)
+    _check_layout(plan,
+                  [(bus, h) for bus in ("up", "left", "diag")
+                   for h in range(s)]
+                  + [("x", b) for b in range(eps)]
+                  + [("y", b) for b in range(eps)]
+                  + [("best", h) for h in range(s)],
+                  2 * s, "SW-cell")
+    inner = _gate_body(
+        plan,
+        _planes("up", s, "ps") + _planes("left", s, "ps")
+        + _planes("diag", s, "ps") + _planes("xr", eps, "cs")
+        + _planes("yr", eps, "ds") + _planes("br", s, "bs"),
+        _planes("dst", s, "ps") + _planes("br", s, "bs"))
 
     return f"""#include <stdint.h>
 
-typedef {_C_TYPES[word_bits]} W;
+{_word_typedef(word_bits)}
 
 void {STEP_SYMBOL}(W* restrict p1, W* restrict p2, W* restrict best,
                    const W* restrict xp, const W* restrict yp,
@@ -255,65 +290,26 @@ def c_gotoh_step_source(plan: CellPlan, s: int, eps: int,
     keeps hazard-free.
     """
     check_word_bits(word_bits)
-    expected = ([("h_left", h) for h in range(s)]
-                + [("e_left", h) for h in range(s)]
-                + [("h_up", h) for h in range(s)]
-                + [("f_up", h) for h in range(s)]
-                + [("h_diag", h) for h in range(s)]
-                + [("x", b) for b in range(eps)]
-                + [("y", b) for b in range(eps)]
-                + [("best", h) for h in range(s)])
-    if list(plan.input_layout) != expected:
-        raise JitError("plan input layout does not match the fused "
-                       "Gotoh-cell/best netlist")
-    if len(plan.outputs) != 4 * s:
-        raise JitError(
-            f"fused gotoh plan must have {4 * s} outputs, got "
-            f"{len(plan.outputs)}"
-        )
-
-    load: list[str] = ([f"hl[{h} * ps + l]" for h in range(s)]
-                       + [f"el[{h} * ps + l]" for h in range(s)]
-                       + [f"hu[{h} * ps + l]" for h in range(s)]
-                       + [f"fu[{h} * ps + l]" for h in range(s)]
-                       + [f"hd[{h} * ps + l]" for h in range(s)]
-                       + [f"xr[{b} * cs + l]" for b in range(eps)]
-                       + [f"yr[{b} * ds + l]" for b in range(eps)]
-                       + [f"br[{h} * bs + l]" for h in range(s)])
-    used = {r[1] for op in plan.ops for r in op[1:]
-            if r is not None and r[0] == "in"}
-    used.update(r[1] for r in plan.outputs if r[0] == "in")
-
-    def nm(r: Ref) -> str:
-        if r[0] == "in":
-            return f"i{r[1]}"
-        if r[0] == "op":
-            return f"t{r[1]}"
-        return "(~(W)0)" if r[1] else "((W)0)"
-
-    body: list[str] = []
-    for k in sorted(used):
-        body.append(f"const W i{k} = {load[k]};")
-    for j, (kind, a, b) in enumerate(plan.ops):
-        if kind == "NOT":
-            expr = f"~{nm(a)}"
-        else:
-            sym = {"AND": "&", "OR": "|", "XOR": "^"}[kind]
-            expr = f"{nm(a)} {sym} {nm(b)}"  # type: ignore[arg-type]
-        body.append(f"const W t{j} = {expr};")
-    for h in range(s):
-        body.append(f"dh[{h} * ps + l] = {nm(plan.outputs[h])};")
-    for h in range(s):
-        body.append(f"de[{h} * ps + l] = {nm(plan.outputs[s + h])};")
-    for h in range(s):
-        body.append(f"df[{h} * ps + l] = {nm(plan.outputs[2 * s + h])};")
-    for h in range(s):
-        body.append(f"br[{h} * bs + l] = {nm(plan.outputs[3 * s + h])};")
-    inner = "\n                ".join(body)
+    _check_layout(plan,
+                  [(bus, h) for bus in ("h_left", "e_left", "h_up",
+                                        "f_up", "h_diag")
+                   for h in range(s)]
+                  + [("x", b) for b in range(eps)]
+                  + [("y", b) for b in range(eps)]
+                  + [("best", h) for h in range(s)],
+                  4 * s, "Gotoh-cell")
+    inner = _gate_body(
+        plan,
+        _planes("hl", s, "ps") + _planes("el", s, "ps")
+        + _planes("hu", s, "ps") + _planes("fu", s, "ps")
+        + _planes("hd", s, "ps") + _planes("xr", eps, "cs")
+        + _planes("yr", eps, "ds") + _planes("br", s, "bs"),
+        _planes("dh", s, "ps") + _planes("de", s, "ps")
+        + _planes("df", s, "ps") + _planes("br", s, "bs"))
 
     return f"""#include <stdint.h>
 
-typedef {_C_TYPES[word_bits]} W;
+{_word_typedef(word_bits)}
 
 void {GOTOH_STEP_SYMBOL}(const W* restrict h1, W* restrict h2,
                          W* restrict e, W* restrict f, W* restrict best,

@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..core.bitops import BitOpsError, word_dtype
 from ..core.netlist import (build_gotoh_cell_best_netlist,
                             build_subst_sw_cell_best_netlist,
                             build_sw_cell_best_netlist,
@@ -104,13 +105,104 @@ class NumpyStep:
 
 
 class CStep:
-    """One fused wavefront step as a native kernel (see cbackend)."""
+    """One fused wavefront step as a native kernel (see cbackend).
+
+    Unlike the NumPy steps, which the engine calls once per diagonal,
+    a ``CStep`` drives the whole sweep itself: :meth:`run` owns the
+    lane padding the kernel contract needs, for the linear and the
+    Gotoh engine alike (``n_state`` is 2 for ``p1``/``p2``, 4 for
+    ``h1``/``h2``/``e``/``f``).
+    """
 
     backend = "c"
 
-    def __init__(self, fn, source: str) -> None:
+    def __init__(self, fn, source: str, s: int, eps: int, word_bits: int,
+                 n_state: int) -> None:
         self.fn = fn
         self.source = source
+        self.vec_words = cbackend.vec_words(word_bits)
+        self._s = s
+        self._eps = eps
+        self._dtype = word_dtype(word_bits)
+        self._n_state = n_state
+
+    def run(self, Xp: np.ndarray, Yp: np.ndarray) -> np.ndarray:
+        """Sweep every anti-diagonal of ``(eps, m, lanes)`` /
+        ``(eps, n, lanes)`` character planes from zero state; return
+        the ``(s, m, lanes)`` running maxima (a view).
+
+        State, ``best`` and the character planes are allocated at
+        ``lanes`` rounded up to a multiple of :attr:`vec_words`; the
+        zero pad lanes score 0 and are sliced off again.
+        """
+        _, m, lanes = Xp.shape
+        v = self.vec_words
+        width = -(-lanes // v) * v
+        Xp, Yp = _pad_lanes(Xp, width, self._dtype), \
+            _pad_lanes(Yp, width, self._dtype)
+        state = [np.zeros((self._s, m + 1, width), self._dtype)
+                 for _ in range(self._n_state)]
+        best = np.zeros((self._s, m, width), self._dtype)
+        self.sweep(state, best, Xp, Yp)
+        return best[..., :lanes]
+
+    def sweep(self, state: list[np.ndarray], best: np.ndarray,
+              Xp: np.ndarray, Yp: np.ndarray) -> None:
+        """Call the kernel on diagonals ``0 .. m + n - 2`` in place,
+        swapping ``state[0]``/``state[1]`` after each.
+
+        Every buffer is checked once, before the first call: an
+        out-of-bounds vector access would corrupt the heap silently,
+        so any dtype, contiguity or shape mismatch (including a last
+        axis that is not ``L * vec_words``) raises
+        :class:`~repro.core.bitops.BitOpsError` instead.
+        """
+        L = self._check(state, best, Xp, Yp)
+        m, n = Xp.shape[1], Yp.shape[1]
+        a1, a2 = state[0].ctypes.data, state[1].ctypes.data
+        rest = [a.ctypes.data for a in (*state[2:], best, Xp, Yp)]
+        fn = self.fn
+        for t in range(m + n - 1):
+            lo = t - n + 1 if t >= n else 0
+            hi = m - 1 if t >= m else t
+            fn(a1, a2, *rest, t, lo, hi, m, n, L)
+            a1, a2 = a2, a1
+
+    def _check(self, state, best, Xp, Yp) -> int:
+        bufs = [*state, best, Xp, Yp]
+        if len(state) != self._n_state or any(
+                not isinstance(a, np.ndarray) or a.ndim != 3
+                for a in bufs):
+            raise BitOpsError(
+                f"C step expects {self._n_state} state planes, best, Xp "
+                "and Yp, each a 3-d array")
+        s, eps, v = self._s, self._eps, self.vec_words
+        m, n, width = Xp.shape[1], Yp.shape[1], best.shape[2]
+        if width % v:
+            raise BitOpsError(f"C step lane axis {width} is not a "
+                              f"multiple of {v} words")
+        shapes = ([(s, m + 1, width)] * len(state)
+                  + [(s, m, width), (eps, m, width), (eps, n, width)])
+        names = ([f"state[{i}]" for i in range(len(state))]
+                 + ["best", "Xp", "Yp"])
+        for name, a, shape in zip(names, bufs, shapes):
+            if a.shape != shape or a.dtype != self._dtype \
+                    or not a.flags.c_contiguous:
+                raise BitOpsError(
+                    f"C step buffer {name}: got {a.shape} {a.dtype}"
+                    f"{'' if a.flags.c_contiguous else ' non-contiguous'}"
+                    f", kernel needs C-contiguous {shape} {self._dtype}")
+        return width // v
+
+
+def _pad_lanes(a: np.ndarray, width: int, dtype) -> np.ndarray:
+    """``a`` as a C-contiguous ``dtype`` array whose last axis is
+    zero-padded to ``width``."""
+    if a.shape[-1] == width:
+        return np.ascontiguousarray(a, dtype=dtype)
+    out = np.zeros(a.shape[:-1] + (width,), dtype)
+    out[..., :a.shape[-1]] = a
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -121,7 +213,8 @@ def _step_cached(s: int, gap: int, c1: int, c2: int, eps: int,
         try:
             plan = plan_netlist(net)
             source = cbackend.c_step_source(plan, s, eps, word_bits)
-            return CStep(cbackend.compile_step(source), source)
+            return CStep(cbackend.compile_step(source), source, s, eps,
+                         word_bits, n_state=2)
         except JitError:
             if backend == "c":
                 raise
@@ -162,7 +255,8 @@ def _subst_step_cached(s: int, gap: int, weights, eps: int,
         try:
             plan = plan_netlist(net)
             source = cbackend.c_step_source(plan, s, eps, word_bits)
-            return CStep(cbackend.compile_step(source), source)
+            return CStep(cbackend.compile_step(source), source, s, eps,
+                         word_bits, n_state=2)
         except JitError:
             if backend == "c":
                 raise
@@ -241,7 +335,7 @@ def _gotoh_step_cached(s: int, go: int, ge: int, c1, c2, weights,
             fn = cbackend.compile_step(source,
                                        symbol=cbackend.GOTOH_STEP_SYMBOL,
                                        num_ptr_args=7)
-            return CStep(fn, source)
+            return CStep(fn, source, s, eps, word_bits, n_state=4)
         except JitError:
             if backend == "c":
                 raise

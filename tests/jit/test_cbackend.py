@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.netlist import (build_sw_cell_best_netlist,
+from repro.core.netlist import (build_gotoh_cell_best_netlist,
+                                build_sw_cell_best_netlist,
                                 build_sw_cell_netlist)
 from repro.jit import JitError, cc_available, plan_netlist
-from repro.jit.cbackend import STEP_SYMBOL, c_step_source, compile_step
+from repro.jit.cbackend import (STEP_SYMBOL, VEC_WORDS, c_gotoh_step_source,
+                                c_step_source, compile_step, vec_words)
 
 needs_cc = pytest.mark.skipif(not cc_available(),
                               reason="no C compiler on this machine")
@@ -26,6 +30,25 @@ class TestCStepSource:
 
     def test_word_width_selects_c_type(self):
         assert "uint32_t" in c_step_source(_fused_plan(), 5, 2, 32)
+
+    def test_64_bit_word_is_a_vector(self):
+        """64-bit steps compute on VEC_WORDS-word GCC vectors, only
+        word-aligned (numpy buffers are not vector-aligned)."""
+        assert VEC_WORDS == 4 and vec_words(64) == VEC_WORDS
+        typedef = ("typedef uint64_t W __attribute__((vector_size(32), "
+                   "aligned(8)));")
+        assert typedef in c_step_source(_fused_plan(), 5, 2, 64)
+        gotoh = plan_netlist(build_gotoh_cell_best_netlist(
+            5, 3, 1, c1=2, c2=1, eps=2))
+        assert typedef in c_gotoh_step_source(gotoh, 5, 2, 64)
+
+    @pytest.mark.parametrize("w, ctype", [(8, "uint8_t"), (16, "uint16_t"),
+                                          (32, "uint32_t")])
+    def test_narrow_words_stay_scalar(self, w, ctype):
+        assert vec_words(w) == 1
+        source = c_step_source(_fused_plan(), 5, 2, w)
+        assert f"typedef {ctype} W;" in source
+        assert "vector_size" not in source
 
     def test_row_loop_descends(self):
         """The descending row loop is what makes the in-place p2
@@ -57,12 +80,16 @@ class TestCompileStep:
     @needs_cc
     def test_kernel_computes_one_diagonal(self):
         """Drive the raw kernel for a 1x1 DP: the single cell's score
-        must equal max(0, diag + w(x, y)) for the (2, 1, 1) scheme."""
+        must equal max(0, diag + w(x, y)) for the (2, 1, 1) scheme.
+
+        At 64 bits the kernel element is a vector of VEC_WORDS lane
+        words and ``L`` counts vectors, so every plane holds
+        ``VEC_WORDS`` words and the call passes ``L = 1``."""
         s, eps, w = 4, 2, 64
         source = c_step_source(_fused_plan(s=s, eps=eps), s, eps, w)
         fn = compile_step(source)
         m = n = 1
-        lanes = 1
+        lanes = VEC_WORDS
         p1 = np.zeros((s, m + 1, lanes), np.uint64)
         p2 = np.zeros((s, m + 1, lanes), np.uint64)
         best = np.zeros((s, m, lanes), np.uint64)
@@ -71,11 +98,35 @@ class TestCompileStep:
         yp = np.zeros((eps, n, lanes), np.uint64)
         xp[0] = yp[0] = ~np.uint64(0)
         fn(p1.ctypes.data, p2.ctypes.data, best.ctypes.data,
-           xp.ctypes.data, yp.ctypes.data, 0, 0, 0, m, n, lanes)
-        # Score 2 = bit 1 set on every lane.
-        assert int(p2[1, 1, 0]) == int(~np.uint64(0))
-        assert int(p2[0, 1, 0]) == 0
-        assert int(best[1, 0, 0]) == int(~np.uint64(0))
+           xp.ctypes.data, yp.ctypes.data, 0, 0, 0, m, n, 1)
+        # Score 2 = bit 1 set on every lane of every word.
+        for word in range(lanes):
+            assert int(p2[1, 1, word]) == int(~np.uint64(0))
+            assert int(p2[0, 1, word]) == 0
+            assert int(best[1, 0, word]) == int(~np.uint64(0))
+
+    @needs_cc
+    def test_folded_constant_outputs_compile_as_vectors(self):
+        """Outputs folded to ``0`` / ``~0`` need vector literals:
+        ``(W)0`` does not compile when ``W`` is a vector."""
+        s, eps = 4, 2
+        plan = _fused_plan(s=s, eps=eps)
+        outs = list(plan.outputs)
+        outs[0], outs[s] = ("const", 0), ("const", 1)
+        plan = dataclasses.replace(plan, outputs=tuple(outs))
+        source = c_step_source(plan, s, eps, 64)
+        assert "((W){0})" in source and "(~(W){0})" in source
+        fn = compile_step(source)
+        m = n = 1
+        p1 = np.zeros((s, m + 1, VEC_WORDS), np.uint64)
+        p2 = np.full((s, m + 1, VEC_WORDS), 7, np.uint64)
+        best = np.zeros((s, m, VEC_WORDS), np.uint64)
+        xp = np.zeros((eps, m, VEC_WORDS), np.uint64)
+        yp = np.zeros((eps, n, VEC_WORDS), np.uint64)
+        fn(p1.ctypes.data, p2.ctypes.data, best.ctypes.data,
+           xp.ctypes.data, yp.ctypes.data, 0, 0, 0, m, n, 1)
+        assert not p2[0, 1].any()
+        assert (best[0, 0] == ~np.uint64(0)).all()
 
     def test_missing_compiler_raises(self, monkeypatch):
         from repro.jit import cbackend

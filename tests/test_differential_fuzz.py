@@ -72,6 +72,9 @@ AFFINE_SCHEMES = (
 
 GROUPS = 52
 GROUP_PAIRS = 40
+#: Batch sizes of 2, 3, 5 and 6 64-bit lane words: none a multiple of
+#: the native step's 4-word vector.
+TILED_PAIRS = (100, 170, 300, 384)
 MAX_LEN = 200
 WORD_BITS = 64
 
@@ -205,6 +208,45 @@ def test_cell_evaluators_bit_identical(fuzz_groups):
             f"shape=({g.X.shape[1]}, {g.Y.shape[1]})\n"
             f"  scheme={g.scheme}"
         )
+
+
+def _tiled(g: FuzzGroup, pairs: int):
+    """``g``'s pairs tiled to ``pairs`` lanes in a seeded shuffle, so
+    every lane word of the batch holds a different mix of pairs."""
+    order = np.random.default_rng(SEED + pairs).permutation(
+        np.resize(np.arange(GROUP_PAIRS), pairs))
+    return g.X[order], g.Y[order], g.gold[order]
+
+
+def test_vector_kernel_odd_word_counts(fuzz_groups):
+    """The native step computes on 4-word vectors, so batches of 2, 3,
+    5 and 6 lane words run with zero pad words.  Each count scores
+    two groups' pairs through ``compiled-c``, against gold and
+    against the ``compiled-numpy`` score planes."""
+    from repro.jit import cc_available
+
+    if not cc_available():
+        pytest.skip("no C compiler on this machine")
+    assert [-(-p // WORD_BITS) for p in TILED_PAIRS] == [2, 3, 5, 6]
+    for k, pairs in enumerate(TILED_PAIRS):
+        for g in fuzz_groups[k::GROUPS // 2]:
+            X, Y, gold = _tiled(g, pairs)
+            XH, XL = encode_batch_bit_transposed(X, WORD_BITS)
+            YH, YL = encode_batch_bit_transposed(Y, WORD_BITS)
+            got, ref = (bpbc_sw_wavefront(XH, XL, YH, YL, g.scheme,
+                                          WORD_BITS, cell=cell)
+                        for cell in ("compiled-c", "compiled-numpy"))
+            where = (f"seed={SEED} (rerun: REPRO_FUZZ_SEED={SEED}) "
+                     f"group={g.index} pairs={pairs} "
+                     f"shape=({X.shape[1]}, {Y.shape[1]}) "
+                     f"scheme={g.scheme}")
+            bad = np.flatnonzero(got.max_scores[:pairs] != gold)
+            assert bad.size == 0, (
+                f"compiled-c disagrees with gold on {bad.size} of "
+                f"{pairs} pairs, first lane {bad[:1]}: {where}")
+            assert np.array_equal(got.score_planes, ref.score_planes), \
+                f"compiled-c score planes differ from compiled-numpy: " \
+                f"{where}"
 
 
 def test_row_scan_matches_oracles(fuzz_groups):

@@ -59,6 +59,9 @@ SEED = int(os.environ.get("REPRO_FUZZ_SEED", DEFAULT_SEED))
 
 GROUPS = 52
 GROUP_PAIRS = 40
+#: Batch sizes of 2, 3, 5 and 6 64-bit lane words: none a multiple of
+#: the native step's 4-word vector.
+TILED_PAIRS = (100, 170, 300, 384)
 MAX_LEN = 96
 WORD_SIZES = (8, 16, 32, 64)
 
@@ -264,6 +267,48 @@ def test_c_backend_agrees(fuzz_groups):
         scores = _engine_scores(g, "compiled-c")
         assert np.array_equal(scores, g.gold), \
             _explain("bpbc[compiled-c]", g, scores)
+
+
+def test_vector_kernel_odd_word_counts(fuzz_groups):
+    """The native substitution and Gotoh steps compute on 4-word
+    vectors, so batches of 2, 3, 5 and 6 64-bit lane words run with
+    zero pad words.  Each count scores one linear (substitution step)
+    and one affine (Gotoh step) group's pairs, tiled in a seeded
+    shuffle, through ``compiled-c`` at 64 bits, against gold and
+    against the ``compiled-numpy`` score planes."""
+    from repro.jit import cc_available
+
+    if not cc_available():
+        pytest.skip("no C compiler on this machine")
+    assert [-(-p // 64) for p in TILED_PAIRS] == [2, 3, 5, 6]
+    # Groups drawn at 64 bits: their kernels are already compiled.
+    native = [g for g in fuzz_groups if g.word_bits == 64]
+    linear = [g for g in native if not g.scheme.is_affine]
+    affine = [g for g in native if g.scheme.is_affine]
+    for k, pairs in enumerate(TILED_PAIRS):
+        for g in (linear[k % len(linear)], affine[k]):
+            order = np.random.default_rng(SEED + pairs).permutation(
+                np.resize(np.arange(GROUP_PAIRS), pairs))
+            eps = g.scheme.alphabet.pad_bits
+            Xp, Yp = (encode_batch_char_planes(Z[order], 64, char_bits=eps)
+                      for Z in (g.X, g.Y))
+            engine = (bpbc_gotoh_wavefront_planes if g.scheme.is_affine
+                      else bpbc_sw_wavefront_planes)
+            got, ref = (engine(Xp, Yp, g.scheme, 64, cell=cell)
+                        for cell in ("compiled-c", "compiled-numpy"))
+            where = (f"seed={SEED} (rerun: REPRO_FUZZ_SEED={SEED}) "
+                     f"group={g.index} pairs={pairs} "
+                     f"shape=({g.X.shape[1]}, {g.Y.shape[1]}) "
+                     f"matrix={g.scheme.matrix.name} "
+                     f"gap_open={g.scheme.gap_open} "
+                     f"gap_extend={g.scheme.gap_extend}")
+            bad = np.flatnonzero(got.max_scores[:pairs] != g.gold[order])
+            assert bad.size == 0, (
+                f"compiled-c disagrees with gold on {bad.size} of "
+                f"{pairs} pairs, first lane {bad[:1]}: {where}")
+            assert np.array_equal(got.score_planes, ref.score_planes), \
+                f"compiled-c score planes differ from compiled-numpy: " \
+                f"{where}"
 
 
 def test_gpusim_pipeline_agrees(fuzz_groups):
