@@ -105,15 +105,15 @@ class Alphabet:
 
     def decode(self, codes) -> str:
         """Decode a code array back into a string."""
-        out = []
-        for c in np.asarray(codes):
-            c = int(c)
-            if not 0 <= c < self.size:
-                raise BitOpsError(
-                    f"code {c} out of range for alphabet {self.name}"
-                )
-            out.append(self.letters[c])
-        return "".join(out)
+        codes = np.asarray(codes)
+        bad = (codes < 0) | (codes >= self.size)
+        if bad.any():
+            raise BitOpsError(
+                f"code {int(codes[bad][0])} out of range for alphabet "
+                f"{self.name}"
+            )
+        letters = np.frombuffer(self.letters.encode("utf-32-le"), np.uint32)
+        return letters[codes.astype(np.intp)].tobytes().decode("utf-32-le")
 
     def encode_batch(self, seqs: list[str]) -> np.ndarray:
         """Encode equal-length strings into a ``(P, n)`` code matrix."""

@@ -109,7 +109,8 @@ def decode(codes: np.ndarray) -> str:
     codes = np.asarray(codes)
     if codes.size and (codes.min() < 0 or codes.max() > 3):
         raise BitOpsError("codes must be in [0, 3]")
-    return "".join(BASE_OF[int(c)] for c in codes)
+    letters = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
+    return letters[codes.astype(np.intp)].tobytes().decode("ascii")
 
 
 def encode_batch(seqs: list[str]) -> np.ndarray:

@@ -6,8 +6,10 @@ given threshold τ.  Once such strings are identified, a detailed
 matching can be computed by a conventional SWA on the CPU."
 
 :func:`screen_pairs` runs the bulk bitwise engine over all pairs and
-re-aligns the survivors with the wordwise CPU path, returning full
-local alignments for exactly the pairs that pass τ.
+re-aligns the survivors on the CPU (:func:`repro.swa.traceback.align`:
+the C Gotoh fill, or the numpy row scan without a compiler, then the
+walk), returning full local alignments for exactly the pairs that
+pass τ.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..swa.traceback import Alignment, align
 __all__ = ["ScreenHit", "ScreenResult", "screen_pairs", "bulk_max_scores",
            "bpbc_max_scores", "wordwise_max_scores"]
 
-#: The survivor CPU pass (row-scan fill + walk).  Module globals on
+#: The survivor CPU pass (DP fill + walk).  Module globals on
 #: purpose: the traced benchmark times ``swa.traceback`` by wrapping
 #: ``traceback`` and ``sw_matrix`` here; nothing calls ``sw_matrix``
 #: (the pure-Python oracle) any more, and it goes when the benchmark
@@ -210,10 +212,10 @@ def screen_pairs(X: np.ndarray, Y: np.ndarray, threshold: int,
     """Bulk-score all pairs; fully align those scoring above ``threshold``.
 
     The bulk phase never computes tracebacks — exactly the paper's
-    division of labour.  Survivor alignments are exact (numpy row-scan
-    matrix + traceback, :func:`repro.swa.traceback.align`) and their
-    scores are asserted to agree with the bulk engine's, which doubles
-    as an end-to-end self-check.
+    division of labour.  Survivor alignments are exact (C or numpy
+    row-scan matrix fill + traceback, :func:`repro.swa.traceback.align`)
+    and their scores are asserted to agree with the bulk engine's,
+    which doubles as an end-to-end self-check.
     ``workers > 1`` shards the bulk phase across processes, with
     fallback-chain recovery of failed shards unless ``recover=False``
     (see :func:`bulk_max_scores`); survivor alignment stays

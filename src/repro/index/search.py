@@ -16,9 +16,10 @@ the repo's existing layers:
   sharded across worker processes.  No tracebacks here — exactly the
   paper's division of labour.
 * **tier 2 — traceback.**  Entries whose best window score strictly
-  exceeds ``threshold`` are re-aligned with the numpy row-scan CPU
-  matrix + traceback on their best window, and the alignment score is
-  asserted against the bulk engine's (the same self-check as
+  exceeds ``threshold`` are re-aligned with the CPU matrix fill (C, or
+  the numpy row scan without a compiler) + traceback on their best
+  window, and the alignment score is asserted against the bulk
+  engine's (the same self-check as
   :func:`repro.filter.screening.screen_pairs`).
 
 Exactness: windows overlap by :func:`~repro.filter.database.window_overlap`,
@@ -378,7 +379,7 @@ class TieredSearch:
 
     def _align(self, shard, q: np.ndarray, wa: int, wb: int,
                expected: int) -> Alignment:
-        """Row-scan matrix + traceback on one window
+        """Matrix fill + traceback on one window
         (:func:`repro.swa.traceback.align`, any scheme kind), with one
         retry (the ``index.tier2.align`` fault site) and the bulk/CPU
         score self-check."""

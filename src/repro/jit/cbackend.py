@@ -33,10 +33,17 @@ lane words (256 bits), so on an AVX2 host every gate of the
 straight-line body is one instruction over four lane words; 512-bit
 vectors were measured slower on one-word serve batches.
 
-Memory layout contract (all arrays C-contiguous, the word dtype; ``L``
-counts ``W`` elements, so every plane's last axis is ``L *
-vec_words(word_bits)`` lane words — callers zero-pad the lanes, see
-:meth:`repro.jit.cells.CStep.run`):
+:func:`compile_kernel` is the one compile, cache and load path for
+native code, and each kernel states its own argument types there.
+The step kernels go through :func:`compile_step`: ``num_ptr_args``
+pointers followed by six longs (``t, lo, hi, m, n, L``).  The fixed
+survivor DP fill of :mod:`repro.swa.traceback` loads through the same
+path with its own signature (four pointers, four longs).
+
+Step memory layout contract (all arrays C-contiguous, the word
+dtype; ``L`` counts ``W`` elements, so every plane's last axis is
+``L * vec_words(word_bits)`` lane words — callers zero-pad the lanes,
+see :meth:`repro.jit.cells.CStep.run`):
 
 * ``p1``/``p2``: ``(s, m + 1, L)`` row-padded state planes for
   diagonals ``t - 1`` / ``t - 2``; padded row 0 is a permanent zero.
@@ -67,8 +74,8 @@ from ..resilience.faults import should_inject
 from .compiler import CellPlan, JitError, Ref
 
 __all__ = ["cc_available", "compiler_path", "c_step_source",
-           "c_gotoh_step_source", "compile_step", "STEP_SYMBOL",
-           "GOTOH_STEP_SYMBOL", "VEC_WORDS", "vec_words"]
+           "c_gotoh_step_source", "compile_step", "compile_kernel",
+           "STEP_SYMBOL", "GOTOH_STEP_SYMBOL", "VEC_WORDS", "vec_words"]
 
 #: Exported symbol name of every generated step kernel.
 STEP_SYMBOL = "repro_sw_step"
@@ -365,12 +372,23 @@ def compile_step(source: str, symbol: str = STEP_SYMBOL,
 
     ``symbol`` names the exported kernel (:data:`STEP_SYMBOL` for the
     linear step, :data:`GOTOH_STEP_SYMBOL` with ``num_ptr_args=7`` for
-    the affine one); every kernel takes ``num_ptr_args`` pointers
-    followed by six longs.  Idempotent and cached: the same source
-    returns the same :mod:`ctypes` function object for the life of the
-    process, and the shared object persists on disk across processes.
-    Raises :class:`~repro.jit.compiler.JitError` when no compiler is
-    available or the build fails.
+    the affine one); every step kernel takes ``num_ptr_args`` pointers
+    followed by six longs.  See :func:`compile_kernel`.
+    """
+    return compile_kernel(source, symbol, [ctypes.c_void_p] * num_ptr_args
+                          + [ctypes.c_long] * 6)
+
+
+def compile_kernel(source: str, symbol: str, argtypes):
+    """Compile ``source`` and return its exported function ``symbol``
+    with the given :mod:`ctypes` ``argtypes`` (and no return value).
+
+    The one compile-and-load path for every native kernel.  Idempotent
+    and cached: the same source returns the same :mod:`ctypes` function
+    object for the life of the process, and the shared object persists
+    on disk across processes.  Raises
+    :class:`~repro.jit.compiler.JitError` when no compiler is available
+    or the build fails.
     """
     cc = compiler_path()
     if cc is None:
@@ -407,6 +425,6 @@ def compile_step(source: str, symbol: str = STEP_SYMBOL,
                     raise JitError(f"cannot load {so_path}: {exc}") from exc
             _libs[digest] = lib
     fn = getattr(lib, symbol)
-    fn.argtypes = [ctypes.c_void_p] * num_ptr_args + [ctypes.c_long] * 6
+    fn.argtypes = list(argtypes)
     fn.restype = None
     return fn

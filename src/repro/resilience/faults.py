@@ -71,10 +71,10 @@ SITES: dict[str, str] = {
         "closes the connection mid-line",
     "jit.cc.compile":
         "the system C compiler is reported as failing (JitError from "
-        "compile_step)",
+        "compile_kernel)",
     "jit.cc.load":
         "the compiled .so refuses to dlopen (JitError from "
-        "compile_step)",
+        "compile_kernel)",
     "gpusim.memory.fault":
         "a simulated global-memory access raises MemoryFault",
     "engine.compiled-c.fail":

@@ -9,7 +9,9 @@ score and traceback matrices can be used to identify similar regions").
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,45 +92,111 @@ def _items(seq, scheme) -> np.ndarray:
     return np.asarray(seq, dtype=np.intp) if protein else np.asarray(seq)
 
 
+#: The survivor DP fill in C: a scalar Gotoh recurrence over row-major
+#: ``(m+1, n+1)`` matrices whose boundary row and column the caller
+#: zeroed, with zero-clamped E/F (linear gaps run as ``go == ge``).
+#: One fixed source with an int32 and an int64 symbol, compiled once
+#: per machine through :func:`repro.jit.cbackend.compile_kernel`.
+_FILL_BODY = """
+void repro_fill_{name}(const {T}* restrict w, {T}* restrict H,
+                       {T}* restrict E, {T}* restrict F,
+                       long m, long n, long gap_open, long gap_extend)
+{{
+    const {T} go = ({T})gap_open, ge = ({T})gap_extend;
+    const long s = n + 1;
+    for (long i = 1; i <= m; ++i) {{
+        const {T}* wr = w + (i - 1) * n;
+        const {T}* hu = H + (i - 1) * s;
+        const {T}* fu = F + (i - 1) * s;
+        {T}* h = H + i * s;
+        {T}* e = E + i * s;
+        {T}* f = F + i * s;
+        {T} hl = 0, el = 0;
+        for (long j = 1; j <= n; ++j) {{
+            const {T} ev = MAX(MAX(hl - go, el - ge), 0);
+            const {T} fv = MAX(MAX(hu[j] - go, fu[j] - ge), 0);
+            const {T} hv = MAX(MAX(hu[j - 1] + wr[j - 1], 0), MAX(ev, fv));
+            e[j] = el = ev;
+            f[j] = fv;
+            h[j] = hl = hv;
+        }}
+    }}
+}}
+"""
+
+_FILL_SOURCE = ("#include <stdint.h>\n"
+                "#define MAX(a, b) ((a) > (b) ? (a) : (b))\n") + "".join(
+    _FILL_BODY.format(name=t, T=f"{t}_t") for t in ("int32", "int64"))
+
+
+@lru_cache(maxsize=None)
+def _fill_kernel(dtype: np.dtype):
+    """The native fill for ``dtype``, or ``None`` when no compiler is
+    present or the compile or load fails (the numpy scan takes over)."""
+    from ..jit import JitError, cbackend
+
+    try:
+        return cbackend.compile_kernel(
+            _FILL_SOURCE, f"repro_fill_{dtype.name}",
+            [ctypes.c_void_p] * 4 + [ctypes.c_long] * 4)
+    except JitError:
+        return None
+
+
 def fill_matrices(W: np.ndarray, gap_open: int, gap_extend: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(H, E, F)`` local-alignment DP over weights ``W``, filled
-    one numpy row at a time.
+    """The ``(H, E, F)`` local-alignment DP over weights ``W``.
 
     Each matrix is ``(m+1) x (n+1)`` with the zero boundary row and
     column and zero-clamped E/F: cell for cell what the pure-Python
     oracles (:func:`~repro.swa.sequential.sw_matrix`,
     :func:`~repro.swa.affine.gotoh_matrix`,
     :func:`~repro.core.protein.subst_gotoh_matrix`) compute, with
-    linear gaps as ``gap_open == gap_extend``.  In row ``i``, F and
-    ``H' = max(0, F, H[i-1, j-1] + W[i-1, j-1])`` are elementwise.  The
-    in-row recurrence ``E[j] = max(0, H[j-1] - go, E[j-1] - ge)``
-    unrolls to ``max(0, max_{k<j}(H'[k] + ge*k) - go - ge*(j-1))``, one
-    ``np.maximum.accumulate``: a gap run re-opened from an E cell never
-    beats the run opened from the H' cell that started it, because
-    ``gap_open >= gap_extend``.  This is Snytsar's lazy-F loop
-    (arXiv:1909.00899) turned into a prefix scan.  Values are int32
-    (half the memory traffic) unless some intermediate could leave that
-    range, then int64.
+    linear gaps as ``gap_open == gap_extend``.  Values are int32 (half
+    the memory traffic) unless some intermediate could leave that
+    range, then int64.  The fill is the C kernel ``_FILL_SOURCE`` when
+    a compiler is present, compiled lazily on the first call, and
+    :func:`_scan_fill` otherwise; the two are cell-identical.
     """
     if gap_extend > gap_open:
         raise ValueError(
             f"gap_extend must not exceed gap_open ({gap_extend} > "
-            f"{gap_open}); the row scan relies on it")
+            f"{gap_open}); the numpy row-scan fill relies on it")
     W = np.asarray(W)
     m, n = W.shape
     bound = (int(np.abs(W).max(initial=0)) * (min(m, n) + 1)
              + gap_open + gap_extend * n)
-    dtype = np.int32 if bound < 2**31 else np.int64
-    W = W.astype(dtype, copy=False)
+    dtype = np.dtype(np.int32 if bound < 2**31 else np.int64)
+    W = np.ascontiguousarray(W, dtype=dtype)
     H = np.zeros((m + 1, n + 1), dtype=dtype)
     E = np.zeros_like(H)
     F = np.zeros_like(H)
-    if n == 0:
+    if m == 0 or n == 0:
         return H, E, F
-    ramp = gap_extend * np.arange(n, dtype=dtype)
+    kernel = _fill_kernel(dtype)
+    if kernel is None:
+        _scan_fill(W, gap_open, gap_extend, H, E, F)
+    else:
+        kernel(W.ctypes.data, H.ctypes.data, E.ctypes.data,
+               F.ctypes.data, m, n, int(gap_open), int(gap_extend))
+    return H, E, F
+
+
+def _scan_fill(W, gap_open, gap_extend, H, E, F) -> None:
+    """Fill the zeroed ``(H, E, F)`` in place, one numpy row at a time.
+
+    In row ``i``, F and ``H' = max(0, F, H[i-1, j-1] + W[i-1, j-1])``
+    are elementwise.  The in-row recurrence ``E[j] = max(0, H[j-1] -
+    go, E[j-1] - ge)`` unrolls to ``max(0, max_{k<j}(H'[k] + ge*k) - go
+    - ge*(j-1))``, one ``np.maximum.accumulate``: a gap run re-opened
+    from an E cell never beats the run opened from the H' cell that
+    started it, because ``gap_open >= gap_extend``.  This is Snytsar's
+    lazy-F loop (arXiv:1909.00899) turned into a prefix scan.
+    """
+    m, n = W.shape
+    ramp = gap_extend * np.arange(n, dtype=W.dtype)
     opened = ramp + gap_open
-    scan = np.empty(n, dtype=dtype)
+    scan = np.empty(n, dtype=W.dtype)
     for i in range(1, m + 1):
         h, e, f = H[i, 1:], E[i, 1:], F[i, 1:]
         np.maximum(H[i - 1, 1:] - gap_open, F[i - 1, 1:] - gap_extend,
@@ -144,7 +212,6 @@ def fill_matrices(W: np.ndarray, gap_open: int, gap_extend: int
         np.subtract(scan, opened, out=e)
         np.maximum(e, 0, out=e)
         np.maximum(h, e, out=h)
-    return H, E, F
 
 
 def traceback(d: np.ndarray, W: np.ndarray, x, y, scheme: ScoringScheme,

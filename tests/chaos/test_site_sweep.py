@@ -145,7 +145,7 @@ def _scenario_sock_truncate(rng, seed):
 
 # -- jit.cc.* ----------------------------------------------------------
 
-def _jit_fault(site):
+def _jit_fault(site, rng):
     from repro.jit import JitError, cc_available
     from repro.jit import cbackend, cells
 
@@ -168,14 +168,67 @@ def _jit_fault(site):
     finally:
         cells._step_cached.cache_clear()
         cbackend._libs.clear()
+    _fill_falls_back(site, rng)
+
+
+def _fill_falls_back(site, rng):
+    """The survivor DP fill under the same fault: ``align``,
+    ``screen_pairs`` and ``TieredSearch.search`` run on the numpy row
+    scan and return the alignments of the pure-Python oracle (search:
+    of the fault-free run, and the exact plant)."""
+    import importlib
+    import tempfile
+    from pathlib import Path
+
+    from repro.core.encoding import decode
+    from repro.filter.screening import screen_pairs
+    from repro.index.search import TieredSearch
+    from repro.jit import cbackend, cells
+    from repro.swa.traceback import align
+
+    from ..oracles import oracle_align
+
+    tb = importlib.import_module("repro.swa.traceback")
+    X, Y = _batch(rng, pairs=8, m=16, n=32)
+    # A survivor whose alignment opens a gap on each side.
+    x = X[2]
+    Y[2, 8:24] = np.concatenate([x[:5], x[6:11], [(x[11] + 1) % 4],
+                                 x[11:]])
+    with tempfile.TemporaryDirectory() as tmp:
+        idx, query = _tiny_index(rng, Path(tmp))
+        search = TieredSearch(idx, scheme=DEFAULT_SCHEME, min_seeds=1,
+                              threshold=20)
+        clean = search.search([query])
+        tb._fill_kernel.cache_clear()
+        cbackend._libs.clear()
+        try:
+            with FaultPlan.single(site):
+                screened = screen_pairs(X, Y, 20)
+                found = search.search([query])
+                pair = align(X[2], Y[2])
+                assert tb._fill_kernel(np.dtype(np.int32)) is None
+        finally:
+            tb._fill_kernel.cache_clear()
+            cells._step_cached.cache_clear()
+            cbackend._libs.clear()
+    assert pair == oracle_align(X[2], Y[2], DEFAULT_SCHEME)
+    assert "-" in pair.aligned_x and "-" in pair.aligned_y
+    assert 2 in [h.pair_index for h in screened.hits]
+    for h in screened.hits:
+        assert h.alignment == oracle_align(X[h.pair_index],
+                                           Y[h.pair_index], DEFAULT_SCHEME)
+    assert found.hits == clean.hits
+    (plant,) = [h.alignment for h in found.hits if h.db_index == 3]
+    assert (plant.score, plant.y_start, plant.y_end) == (48, 20, 44)
+    assert plant.aligned_x == plant.aligned_y == decode(query)
 
 
 def _scenario_cc_compile(rng, seed):
-    _jit_fault("jit.cc.compile")
+    _jit_fault("jit.cc.compile", rng)
 
 
 def _scenario_cc_load(rng, seed):
-    _jit_fault("jit.cc.load")
+    _jit_fault("jit.cc.load", rng)
 
 
 # -- gpusim ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,21 @@ def no_leaked_shm_segments():
     leaked = _shm_segments() - before
     assert not leaked, (
         f"test run leaked shared-memory segments: {sorted(leaked)}")
+
+
+@pytest.fixture
+def numpy_fill(monkeypatch):
+    """Force the numpy row-scan fallback of
+    :func:`repro.swa.traceback.fill_matrices` by hiding the C compiler,
+    as on a machine without one."""
+    from repro.jit import cbackend
+
+    tb = importlib.import_module("repro.swa.traceback")
+    monkeypatch.setattr(cbackend, "compiler_path", lambda: None)
+    tb._fill_kernel.cache_clear()
+    assert tb._fill_kernel(np.dtype(np.int32)) is None
+    yield
+    tb._fill_kernel.cache_clear()
 
 
 @pytest.fixture

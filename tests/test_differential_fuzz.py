@@ -250,13 +250,24 @@ def test_vector_kernel_odd_word_counts(fuzz_groups):
 
 
 def test_row_scan_matches_oracles(fuzz_groups):
-    """The numpy row-scan fill behind every survivor alignment, on one
-    pair per group: runs of four groups alternate between the group's
-    linear scheme (so every ``SCHEMES`` entry) and the matching
-    ``AFFINE_SCHEMES`` entry.  H is checked cell for cell against
-    ``sw_matrix`` / ``gotoh_matrix``, E/F against the pure-Python E/F
-    oracle, and ``align``'s alignment against the one the unchanged
-    walks trace through the oracle matrices."""
+    """The survivor DP fill behind every survivor alignment (the C
+    kernel where a compiler exists), on one pair per group: runs of
+    four groups alternate between the group's linear scheme (so every
+    ``SCHEMES`` entry) and the matching ``AFFINE_SCHEMES`` entry.  H is
+    checked cell for cell against ``sw_matrix`` / ``gotoh_matrix``,
+    E/F against the pure-Python E/F oracle, and ``align``'s alignment
+    against the one the unchanged walks trace through the oracle
+    matrices."""
+    _check_fill(fuzz_groups)
+
+
+def test_numpy_scan_fallback_matches_oracles(fuzz_groups, numpy_fill):
+    """The same battery on the numpy row scan, the fill used when no
+    compiler is present or the compile fails."""
+    _check_fill(fuzz_groups)
+
+
+def _check_fill(fuzz_groups):
     for g in fuzz_groups:
         p = g.index % GROUP_PAIRS
         x, y = g.X[p], g.Y[p]
@@ -273,13 +284,14 @@ def test_row_scan_matches_oracles(fuzz_groups):
                  f"group={g.index} kind={g.kind} pair={p} "
                  f"scheme={scheme}\n  x={decode(x)}\n  y={decode(y)}")
         assert np.array_equal(got[0], h_oracle(x, y, scheme)), \
-            f"row-scan H differs from {h_oracle.__name__}: {where}"
+            f"fill H differs from {h_oracle.__name__}: {where}"
         for name, a, b in zip("HEF", got, want):
+            assert a.dtype == np.int32, f"fill {name} is {a.dtype}: {where}"
             assert np.array_equal(a, b), \
-                f"row-scan {name} differs from the E/F oracle: {where}"
+                f"fill {name} differs from the E/F oracle: {where}"
         assert align(x, y, scheme) == oracle_align(
             x, y, scheme, matrices=want), \
-            f"row-scan alignment differs from the oracle's: {where}"
+            f"fill alignment differs from the oracle's: {where}"
 
 
 def test_serve_bpbc_engine_agrees(fuzz_groups):

@@ -215,11 +215,22 @@ def test_pure_python_gotoh_agrees(fuzz_groups):
 
 
 def test_row_scan_matches_oracles(fuzz_groups):
-    """The numpy row-scan fill behind every survivor alignment, on one
-    pair per group (every family, wildcards included): H cell for
-    cell against ``subst_gotoh_matrix``, E/F against the pure-Python
-    E/F oracle, and ``align``'s alignment against the one the
-    unchanged walk traces through the oracle matrices."""
+    """The survivor DP fill behind every survivor alignment (the C
+    kernel where a compiler exists), on one pair per group (every
+    family, wildcards included): H cell for cell against
+    ``subst_gotoh_matrix``, E/F against the pure-Python E/F oracle, and
+    ``align``'s alignment against the one the unchanged walk traces
+    through the oracle matrices."""
+    _check_fill(fuzz_groups)
+
+
+def test_numpy_scan_fallback_matches_oracles(fuzz_groups, numpy_fill):
+    """The same battery on the numpy row scan, the fill used when no
+    compiler is present or the compile fails."""
+    _check_fill(fuzz_groups)
+
+
+def _check_fill(fuzz_groups):
     for g in fuzz_groups:
         sch = g.scheme
         p = g.index % GROUP_PAIRS
@@ -233,12 +244,13 @@ def test_row_scan_matches_oracles(fuzz_groups):
                  f"gap_extend={sch.gap_extend}\n"
                  f"  x={PROTEIN_X.decode(x)}\n  y={PROTEIN_X.decode(y)}")
         assert np.array_equal(got[0], subst_gotoh_matrix(x, y, sch)), \
-            f"row-scan H differs from subst_gotoh_matrix: {where}"
+            f"fill H differs from subst_gotoh_matrix: {where}"
         for name, a, b in zip("HEF", got, want):
+            assert a.dtype == np.int32, f"fill {name} is {a.dtype}: {where}"
             assert np.array_equal(a, b), \
-                f"row-scan {name} differs from the E/F oracle: {where}"
+                f"fill {name} differs from the E/F oracle: {where}"
         assert align(x, y, sch) == oracle_align(x, y, sch, matrices=want), \
-            f"row-scan alignment differs from the oracle's: {where}"
+            f"fill alignment differs from the oracle's: {where}"
 
 
 def test_generic_cell_agrees(fuzz_groups):
